@@ -77,5 +77,9 @@ ISPN_BENCH_MICRO_SECONDS=0.02 "$BUILD_DIR/bench_e2e" >/dev/null
 ISPN_BENCH_MICRO_SECONDS=0.02 ISPN_BENCH_MAX_FLOWS=16384 \
   "$BUILD_DIR/bench_scenario" >/dev/null
 ISPN_BENCH_SECONDS=2 "$BUILD_DIR/bench_table1" >/dev/null
+# The benchmark's own smoke test: builds perfbench/ispn_perfbench, runs
+# every workload at a tiny horizon and checks that each draw's sim_digest
+# repeats and the metric set matches BENCHMARK.json.
+python3 perfbench/smoke.py
 
 echo "OK"

@@ -125,14 +125,20 @@ net::ClosTopology IspnNetwork::build_clos(int spines, int leaves) {
 
 std::vector<LinkId> IspnNetwork::route_links(net::NodeId src,
                                              net::NodeId dst) const {
+  const auto row = net_.route_row(src);
+  auto parent = [&](net::NodeId v) { return row[static_cast<std::size_t>(v)]; };
   std::vector<LinkId> links;
-  const auto path = net_.route(src, dst);
-  for (std::size_t i = 0; i + 1 < path.size(); ++i) {
+  if (parent(dst) == net::kNoNode) return links;
+  // The row is walked dst -> src: size the vector to the hop count once,
+  // collect the links backwards, then put them in path order.
+  std::size_t hops = 0;
+  for (net::NodeId v = dst; v != src; v = parent(v)) ++hops;
+  links.reserve(hops);
+  for (net::NodeId v = dst; v != src; v = parent(v)) {
     // Only inter-switch links queue; host attachments are infinitely fast.
-    if (schedulers_.contains({path[i], path[i + 1]})) {
-      links.emplace_back(path[i], path[i + 1]);
-    }
+    if (schedulers_.contains({parent(v), v})) links.emplace_back(parent(v), v);
   }
+  std::reverse(links.begin(), links.end());
   return links;
 }
 
@@ -189,7 +195,7 @@ IspnNetwork::FlowHandle IspnNetwork::try_open_flow(const FlowSpec& spec) {
   // A partitioned destination (crashed switch, failed links) yields an
   // EMPTY route; admission would vacuously accept the hop-less path and
   // commit to a service no packet can receive.  Refuse instead.
-  if (net_.route(spec.src, spec.dst).empty()) {
+  if (!net_.reachable(spec.src, spec.dst)) {
     handle.commitment.reason = "unreachable";
     return handle;
   }
@@ -206,15 +212,23 @@ IspnNetwork::FlowHandle IspnNetwork::open_flow(const FlowSpec& spec) {
   assert(spec.valid());
   FlowHandle handle;
   handle.spec = spec;
-  handle.links = route_links(spec.src, spec.dst);
-  handle.commitment =
-      admission_.request(spec, handle.links, net_.sim().now());
+  // As in try_open_flow: a partitioned destination has no path, and not
+  // even a forced configuration can serve it.
+  const bool reachable = net_.reachable(spec.src, spec.dst);
+  if (reachable) {
+    handle.links = route_links(spec.src, spec.dst);
+    handle.commitment =
+        admission_.request(spec, handle.links, net_.sim().now());
+  } else {
+    handle.commitment.reason = "unreachable";
+  }
 
   if (!handle.commitment.admitted) {
     if (config_.enforce_admission) {
       throw std::runtime_error("admission rejected " + describe(spec) + ": " +
                                handle.commitment.reason);
     }
+    if (!reachable) return handle;
     // Forced configuration (paper-style static experiments): pick the
     // cheapest adequate class exactly as admission would have.
     if (spec.service == net::ServiceClass::kPredicted) {
@@ -271,7 +285,7 @@ IspnNetwork::RerouteOutcome IspnNetwork::reroute_flow(
   const sim::Time now = net_.sim().now();
   const std::vector<LinkId> old_links = handle.links;
   const std::vector<LinkId> new_links = route_links(spec.src, spec.dst);
-  const bool reachable = !net_.route(spec.src, spec.dst).empty();
+  const bool reachable = net_.reachable(spec.src, spec.dst);
 
   // Removes this flow from one link's scheduler.  Guaranteed packets still
   // queued there are casualties of the path change — they would otherwise

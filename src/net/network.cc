@@ -61,6 +61,7 @@ Host& Network::add_host(const std::string& name) {
   Host& ref = *host;
   nodes_.push_back(std::move(host));
   is_host_[id] = true;
+  routes_.invalidate();
   return ref;
 }
 
@@ -70,6 +71,7 @@ Switch& Network::add_switch(const std::string& name) {
   Switch& ref = *sw;
   nodes_.push_back(std::move(sw));
   is_host_[id] = false;
+  routes_.invalidate();
   if (sharded_) {
     // One domain per switch, ALWAYS — worker count never changes the
     // decomposition, only how domains map onto threads.
@@ -173,6 +175,7 @@ void Network::connect_impl(NodeId a, NodeId b, sim::Rate rate,
 
   adjacency_[a].push_back(b);
   adjacency_[b].push_back(a);
+  routes_.invalidate();
   link_rate_[{a, b}] = rate;
   link_rate_[{b, a}] = rate;
 }
@@ -202,15 +205,25 @@ void Network::build_routes() {
 }
 
 void Network::rebuild_routes() {
-  const Adjacency active = active_adjacency();
+  routes_.invalidate();
   for (const auto& node : nodes_) {
     if (is_host_.at(node->id())) continue;  // hosts send via their uplink
     auto& sw = static_cast<Switch&>(*node);
     sw.clear_routes();
-    for (const auto& [dst, next] : compute_next_hops(active, sw.id())) {
-      sw.set_route(dst, next);
+    const auto row = route_row(sw.id());
+    for (NodeId dst = 0; dst < static_cast<NodeId>(row.size()); ++dst) {
+      if (const NodeId next = first_hop(row, sw.id(), dst); next != kNoNode) {
+        sw.set_route(dst, next);
+      }
     }
   }
+}
+
+std::span<const NodeId> Network::route_row(NodeId src) const {
+  if (!routes_.valid()) {
+    routes_.rebuild(adjacency_, nodes_.size(), down_links_, down_nodes_);
+  }
+  return routes_.row(src);
 }
 
 void Network::apply_port_state(NodeId a, NodeId b) {
@@ -237,6 +250,7 @@ void Network::set_link_up(NodeId a, NodeId b, bool up) {
   } else {
     down_links_.insert(key);
   }
+  routes_.invalidate();
   apply_port_state(a, b);
   rebuild_routes();
 }
@@ -246,13 +260,14 @@ void Network::set_node_up(NodeId node, bool up) {
   if (up != down_nodes_.contains(node)) return;  // already in that state
   // Membership flips FIRST so the link-drop hooks firing during the
   // incident-star flush see the crash and attribute casualties to
-  // node_failure_drops, and so apply_port_state computes the new
-  // effective states.
+  // node_failure_drops (and any route they read is the new epoch's), and
+  // so apply_port_state computes the new effective states.
   if (up) {
     down_nodes_.erase(node);
   } else {
     down_nodes_.insert(node);
   }
+  routes_.invalidate();
   for (const NodeId v : adjacency_.at(node)) apply_port_state(node, v);
   rebuild_routes();  // once, after the whole star transitioned
 }
@@ -289,17 +304,15 @@ void Network::attach_stats_sink(FlowId flow, NodeId dst, FlowSink* next) {
 }
 
 std::vector<NodeId> Network::route(NodeId src, NodeId dst) const {
-  if (down_links_.empty() && down_nodes_.empty()) {
-    return shortest_path(adjacency_, src, dst);
-  }
-  return shortest_path(active_adjacency(), src, dst);
+  return path_from_row(route_row(src), src, dst);
 }
 
 std::size_t Network::queueing_hops(NodeId src, NodeId dst) const {
-  const auto path = route(src, dst);
+  const auto row = route_row(src);
+  if (row[static_cast<std::size_t>(dst)] == kNoNode) return 0;
   std::size_t hops = 0;
-  for (std::size_t i = 0; i + 1 < path.size(); ++i) {
-    if (link_rate_.at({path[i], path[i + 1]}) > 0) ++hops;
+  for (NodeId v = dst; v != src; v = row[static_cast<std::size_t>(v)]) {
+    if (link_rate_.at({row[static_cast<std::size_t>(v)], v}) > 0) ++hops;
   }
   return hops;
 }

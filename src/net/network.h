@@ -7,6 +7,7 @@
 #include <map>
 #include <memory>
 #include <set>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -176,11 +177,6 @@ class Network {
     return link_rate_.at({a, b});
   }
 
-  /// The as-built graph minus failed links and crashed switches.
-  [[nodiscard]] Adjacency active_adjacency() const {
-    return filter_adjacency(adjacency_, down_links_, down_nodes_);
-  }
-
   /// Packets currently inside cross-domain mailboxes or scheduled but not
   /// yet arrived (sharded runs; 0 otherwise).  A mid-run conservation
   /// audit must count these: they are in no port's queue.
@@ -196,8 +192,10 @@ class Network {
     mailbox_cap_override_ = cap;
   }
 
-  /// Reinstalls next-hop tables over the active adjacency (what
-  /// set_link_up does after flipping a link).
+  /// Recomputes the routes over the active graph (the as-built graph
+  /// minus failed links and crashed switches) and reinstalls every
+  /// switch's next-hop table (what set_link_up does after flipping a
+  /// link).
   void rebuild_routes();
 
   [[nodiscard]] Node& node(NodeId id) { return *nodes_.at(id); }
@@ -218,14 +216,27 @@ class Network {
   /// TCP sink).
   void attach_stats_sink(FlowId flow, NodeId dst, FlowSink* next = nullptr);
 
+  /// BFS parent row of `src` over the ACTIVE graph: row[v] is v's
+  /// predecessor on the current route src -> v, row[src] == src, and
+  /// kNoNode where v is unreachable.  Computed once per topology epoch
+  /// (adding a node, connect, build_routes, set_link_up, set_node_up and
+  /// rebuild_routes each start one) on src's first query; the span is
+  /// valid until the next topology change.  Control thread only.
+  [[nodiscard]] std::span<const NodeId> route_row(NodeId src) const;
+
+  /// True when dst is reachable from src over the active graph.
+  [[nodiscard]] bool reachable(NodeId src, NodeId dst) const {
+    return route_row(src)[static_cast<std::size_t>(dst)] != kNoNode;
+  }
+
   /// Route (node sequence) currently used from src to dst over the ACTIVE
-  /// adjacency; empty when failed links leave dst unreachable.
+  /// graph; empty when failed links leave dst unreachable.
   [[nodiscard]] std::vector<NodeId> route(NodeId src, NodeId dst) const;
 
   /// Number of finite-rate (queueing) links on the route src -> dst.
   [[nodiscard]] std::size_t queueing_hops(NodeId src, NodeId dst) const;
 
-  /// The as-built graph, failed links included; see active_adjacency().
+  /// The as-built graph, failed links and crashed switches included.
   [[nodiscard]] const Adjacency& adjacency() const { return adjacency_; }
 
  private:
@@ -264,8 +275,9 @@ class Network {
   std::vector<std::unique_ptr<Node>> nodes_;
   std::map<NodeId, bool> is_host_;
   Adjacency adjacency_;
-  std::set<std::pair<NodeId, NodeId>> down_links_;  // undirected (min,max)
-  std::set<NodeId> down_nodes_;                     // crashed switches
+  DownLinks down_links_;          // undirected (min,max)
+  std::set<NodeId> down_nodes_;   // crashed switches
+  mutable RouteTable routes_;     // this topology epoch's routes
   std::map<std::pair<NodeId, NodeId>, sim::Rate> link_rate_;
   std::size_t mailbox_cap_override_ = 0;  // 0: BDP-sized (the default)
   std::map<FlowId, FlowStats> stats_;

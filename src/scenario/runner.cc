@@ -350,39 +350,37 @@ void ScenarioRunner::try_restore(net::FlowId flow) {
   ++restore_attempts_;
   // Offer the original service on the CURRENT shortest path.  The flow
   // holds no commitment while degraded, so this is a fresh §9 admission
-  // against the live measurements.
-  if (!net().route(want.src, want.dst).empty()) {
-    core::IspnNetwork::FlowHandle h = ispn_.try_open_flow(want);
-    if (h.commitment.admitted) {
-      rec.handle = std::move(h);
-      rec.degraded = false;
-      rec.restore_attempts = 0;
-      rec.restore_backoff = 0;
-      ++flows_restored_;
-      if (want.service == net::ServiceClass::kGuaranteed) {
-        const traffic::TokenBucketSpec bucket{
-            want.guaranteed->clock_rate,
-            sim::paper::kBucketPackets * spec_.packet_bits};
-        rec.bound =
-            ispn_.guaranteed_bound(rec.handle, bucket, spec_.packet_bits);
-      } else {
-        rec.bound = rec.handle.commitment.advertised_bound.value_or(0.0);
-      }
-      const std::uint8_t priority =
-          rec.handle.commitment.priority_per_hop.empty()
-              ? 0
-              : static_cast<std::uint8_t>(
-                    rec.handle.commitment.priority_per_hop[0]);
-      rec.source->set_service(rec.handle.spec.service, priority);
-      bump_epoch(rec);
-      AdmissionDecision d;
-      d.time = net().sim().now();
-      d.flow = flow;
-      d.service = want.service;
-      d.kind = AdmissionDecision::Kind::kRestored;
-      record(d);
-      return;
+  // against the live measurements (an unreachable destination is refused
+  // there too).
+  core::IspnNetwork::FlowHandle h = ispn_.try_open_flow(want);
+  if (h.commitment.admitted) {
+    rec.handle = std::move(h);
+    rec.degraded = false;
+    rec.restore_attempts = 0;
+    rec.restore_backoff = 0;
+    ++flows_restored_;
+    if (want.service == net::ServiceClass::kGuaranteed) {
+      const traffic::TokenBucketSpec bucket{
+          want.guaranteed->clock_rate,
+          sim::paper::kBucketPackets * spec_.packet_bits};
+      rec.bound = ispn_.guaranteed_bound(rec.handle, bucket, spec_.packet_bits);
+    } else {
+      rec.bound = rec.handle.commitment.advertised_bound.value_or(0.0);
     }
+    const std::uint8_t priority =
+        rec.handle.commitment.priority_per_hop.empty()
+            ? 0
+            : static_cast<std::uint8_t>(
+                  rec.handle.commitment.priority_per_hop[0]);
+    rec.source->set_service(rec.handle.spec.service, priority);
+    bump_epoch(rec);
+    AdmissionDecision d;
+    d.time = net().sim().now();
+    d.flow = flow;
+    d.service = want.service;
+    d.kind = AdmissionDecision::Kind::kRestored;
+    record(d);
+    return;
   }
   schedule_restore(flow);  // refused (or still unreachable): back off more
 }
@@ -435,8 +433,8 @@ void ScenarioRunner::revalidate_flows(
     if (rec.handle.spec.service == net::ServiceClass::kDatagram) continue;
     const net::NodeId src = rec.handle.spec.src;
     const net::NodeId dst = rec.handle.spec.dst;
-    const bool reachable = !net().route(src, dst).empty();
-    if (reachable && ispn_.route_links(src, dst) == rec.handle.links) {
+    if (net().reachable(src, dst) &&
+        ispn_.route_links(src, dst) == rec.handle.links) {
       continue;  // path survived this event untouched
     }
     reoffer_flow(flow);

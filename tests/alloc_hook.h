@@ -1,7 +1,7 @@
 // Global allocation counters for the steady-state allocation tests.
 //
 // alloc_hook.cc overrides the global operator new/delete to bump these
-// counters.  Linked ONLY into test_alloc_steady_state (see CMakeLists) so
+// counters.  Linked ONLY into the allocation-count tests (see CMakeLists) so
 // no other binary pays for or depends on the override.
 
 #pragma once

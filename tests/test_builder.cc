@@ -103,6 +103,39 @@ TEST(Builder, RejectionToleratedWhenNotEnforced) {
   ASSERT_EQ(handle.commitment.priority_per_hop.size(), 1u);
 }
 
+TEST(Builder, OpenFlowRefusesUnreachableDestination) {
+  // A partition leaves no path: the forced-configuration path must not
+  // accept the hop-less route vacuously and configure the flow nowhere.
+  FlowSpec g;
+  g.flow = 1;
+  g.service = net::ServiceClass::kGuaranteed;
+  g.guaranteed = GuaranteedSpec{170000.0};
+  FlowSpec d;
+  d.flow = 2;
+  for (const bool enforce : {true, false}) {
+    IspnNetwork ispn(base_config(enforce));
+    const auto topo = ispn.build_chain(3);
+    ispn.net().set_link_up(topo.switches[1], topo.switches[2], false);
+    for (FlowSpec s : {g, d, predicted_spec(3, 0, 0)}) {
+      s.src = topo.hosts[0];
+      s.dst = topo.hosts[2];
+      if (enforce) {
+        EXPECT_THROW((void)ispn.open_flow(s), std::runtime_error);
+        continue;
+      }
+      const auto handle = ispn.open_flow(s);
+      EXPECT_FALSE(handle.commitment.admitted);
+      EXPECT_EQ(handle.commitment.reason, "unreachable");
+      EXPECT_TRUE(handle.links.empty());
+      EXPECT_TRUE(handle.commitment.priority_per_hop.empty());
+    }
+    // Nothing was registered on the link that is still up.
+    const LinkId up{topo.switches[0], topo.switches[1]};
+    EXPECT_DOUBLE_EQ(ispn.scheduler(up).guaranteed_rate(), 0.0);
+    EXPECT_TRUE(ispn.flows_crossing(up.first, up.second).empty());
+  }
+}
+
 TEST(Builder, GuaranteedBoundMatchesPgFormula) {
   IspnNetwork ispn(base_config());
   const auto topo = ispn.build_chain(5);
