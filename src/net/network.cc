@@ -186,11 +186,6 @@ void Network::connect(NodeId a, NodeId b, sim::Rate rate,
 }
 
 void Network::connect(NodeId a, NodeId b, sim::Rate rate,
-                      const DirectionalSchedulerFactory& make_scheduler) {
-  connect_impl(a, b, rate, rate_aware(make_scheduler));
-}
-
-void Network::connect(NodeId a, NodeId b, sim::Rate rate,
                       const LinkSchedulerFactory& make_scheduler) {
   connect_impl(a, b, rate, make_scheduler);
 }

@@ -359,20 +359,7 @@ void ScenarioRunner::try_restore(net::FlowId flow) {
     rec.restore_attempts = 0;
     rec.restore_backoff = 0;
     ++flows_restored_;
-    if (want.service == net::ServiceClass::kGuaranteed) {
-      const traffic::TokenBucketSpec bucket{
-          want.guaranteed->clock_rate,
-          sim::paper::kBucketPackets * spec_.packet_bits};
-      rec.bound = ispn_.guaranteed_bound(rec.handle, bucket, spec_.packet_bits);
-    } else {
-      rec.bound = rec.handle.commitment.advertised_bound.value_or(0.0);
-    }
-    const std::uint8_t priority =
-        rec.handle.commitment.priority_per_hop.empty()
-            ? 0
-            : static_cast<std::uint8_t>(
-                  rec.handle.commitment.priority_per_hop[0]);
-    rec.source->set_service(rec.handle.spec.service, priority);
+    apply_commitment(rec, /*new_path=*/true);
     bump_epoch(rec);
     AdmissionDecision d;
     d.time = net().sim().now();
@@ -464,35 +451,13 @@ void ScenarioRunner::reoffer_flow(net::FlowId flow) {
         // survivor and admission re-granted the same path.  No decision,
         // no epoch bump — but the fresh commitment may carry a different
         // class assignment, so the source's priority stamp refreshes.
-        rec.bound =
-            rec.handle.commitment.advertised_bound.value_or(rec.bound);
-        const std::uint8_t kept_priority =
-            rec.handle.commitment.priority_per_hop.empty()
-                ? 0
-                : static_cast<std::uint8_t>(
-                      rec.handle.commitment.priority_per_hop[0]);
-        rec.source->set_service(rec.handle.spec.service, kept_priority);
+        apply_commitment(rec, /*new_path=*/false);
         return;
       }
       ++flows_rerouted_;
       ++rec.reroutes;
-      if (original == net::ServiceClass::kGuaranteed) {
-        const traffic::TokenBucketSpec bucket{
-            rec.handle.spec.guaranteed->clock_rate,
-            sim::paper::kBucketPackets * spec_.packet_bits};
-        rec.bound =
-            ispn_.guaranteed_bound(rec.handle, bucket, spec_.packet_bits);
-      } else {
-        rec.bound =
-            rec.handle.commitment.advertised_bound.value_or(rec.bound);
-      }
       // The new path may carry a different per-hop class assignment.
-      const std::uint8_t priority =
-          rec.handle.commitment.priority_per_hop.empty()
-              ? 0
-              : static_cast<std::uint8_t>(
-                    rec.handle.commitment.priority_per_hop[0]);
-      rec.source->set_service(rec.handle.spec.service, priority);
+      apply_commitment(rec, /*new_path=*/true);
       bump_epoch(rec);
       d.kind = AdmissionDecision::Kind::kRerouted;
       break;
@@ -635,16 +600,6 @@ void ScenarioRunner::open_flow(const core::FlowSpec& fs,
   rec.active = true;
   active_.push_back(fs.flow);
 
-  if (fs.service == net::ServiceClass::kGuaranteed) {
-    const traffic::TokenBucketSpec bucket{
-        fs.guaranteed->clock_rate,
-        sim::paper::kBucketPackets * spec_.packet_bits};
-    rec.bound =
-        ispn_.guaranteed_bound(rec.handle, bucket, spec_.packet_bits);
-  } else if (fs.service == net::ServiceClass::kPredicted) {
-    rec.bound = rec.handle.commitment.advertised_bound.value_or(0.0);
-  }
-
   // The sink runs on the destination's domain thread in sharded mode, so
   // it aggregates into that domain's (single-writer) slot.  Registered
   // before the source attaches so the source can stamp the sink slot
@@ -700,8 +655,7 @@ void ScenarioRunner::attach_source(FlowRec& rec, sim::Duration start_offset,
   // Sharded: the source lives on its host's domain clock and draws from
   // that domain's pool.  Creating the stats entry HERE (control time)
   // matters — the packet path only does find-only lookups (hot_stats).
-  sim::Simulator& clock =
-      net().sharded() ? net().sim_for(fs.src) : net().sim();
+  sim::Simulator& clock = net().sim_for(fs.src);
   net::FlowStats* stats = &net().stats(fs.flow);
   const sim::Rng rng(spec_.seed,
                      kSourceStreamBase + static_cast<std::uint64_t>(fs.flow));
@@ -760,8 +714,7 @@ void ScenarioRunner::attach_source(FlowRec& rec, sim::Duration start_offset,
 
     // Receiver on the destination's clock; its ACKs carry the ack sink's
     // slot label and are ledgered as reverse-direction traffic.
-    sim::Simulator& dst_clock =
-        net().sharded() ? net().sim_for(fs.dst) : net().sim();
+    sim::Simulator& dst_clock = net().sim_for(fs.dst);
     net::Host& dst_host = net().host(fs.dst);
     const std::uint32_t ack_slot = rec.ack_slot;
     auto ack_emit = [&dst_host, ack_slot](net::PacketPtr p) {
@@ -803,16 +756,29 @@ void ScenarioRunner::attach_source(FlowRec& rec, sim::Duration start_offset,
     }
   }
 
-  const std::uint8_t priority =
-      rec.handle.commitment.priority_per_hop.empty()
-          ? 0
-          : static_cast<std::uint8_t>(
-                rec.handle.commitment.priority_per_hop[0]);
-  rec.source->set_service(fs.service, priority);
+  apply_commitment(rec, /*new_path=*/true);
   if (net().sharded()) rec.source->set_pool(&net().pool_for(fs.src));
   // Control time is a window barrier, so `now + offset` is never in a
   // window a domain has already executed.
   rec.source->start(net().sim().now() + start_offset);
+}
+
+void ScenarioRunner::apply_commitment(FlowRec& rec, bool new_path) {
+  const core::FlowSpec& fs = rec.handle.spec;
+  const core::ServiceCommitment& c = rec.handle.commitment;
+  if (fs.service != net::ServiceClass::kGuaranteed) {
+    rec.bound = c.advertised_bound.value_or(rec.bound);
+  } else if (new_path) {
+    const traffic::TokenBucketSpec bucket{
+        fs.guaranteed->clock_rate,
+        sim::paper::kBucketPackets * spec_.packet_bits};
+    rec.bound = ispn_.guaranteed_bound(rec.handle, bucket, spec_.packet_bits);
+  }
+  const std::uint8_t priority =
+      c.priority_per_hop.empty()
+          ? 0
+          : static_cast<std::uint8_t>(c.priority_per_hop[0]);
+  rec.source->set_service(fs.service, priority);
 }
 
 void ScenarioRunner::depart_later(net::FlowId flow) {

@@ -217,6 +217,11 @@ class ScenarioRunner {
   /// the source stamps it onto every packet as the delivery label.
   void attach_source(FlowRec& rec, sim::Duration start_offset,
                      std::uint32_t sink_slot);
+  /// Points an admitted flow at its (fresh) commitment: the delay bound
+  /// it is scored against, and the service class and hop-0 priority its
+  /// source stamps on packets.  A guaranteed flow's Parekh–Gallager bound
+  /// is recomputed only on a `new_path`; re-validation in place keeps it.
+  void apply_commitment(FlowRec& rec, bool new_path);
   /// Assembles the failure schedule (explicit specs + the seeded
   /// generator) and registers every event with the simulator.  Called
   /// once from prepare(); the whole schedule is drawn up front so the

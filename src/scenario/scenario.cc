@@ -5,6 +5,7 @@
 #include <cmath>
 #include <sstream>
 #include <stdexcept>
+#include <type_traits>
 
 namespace ispn::scenario {
 
@@ -99,89 +100,284 @@ LinkFailureSpec parse_fail_link(const std::string& key, const std::string& v) {
   return f;
 }
 
+// ---- enum names ----------------------------------------------------------
+
+/// One accepted spelling of an enum value.  Each enum has one table that
+/// both its parser and its name lookup read; the name printed for a value
+/// is the first one listed, so an alias follows its canonical name.
+template <class E>
+struct Name {
+  const char* name;
+  E value;
+};
+
+using AdmissionMode = core::AdmissionController::Mode;
+using Estimator = core::LinkMeasurement::Estimator;
+
+constexpr Name<FabricKind> kFabricNames[] = {
+    {"chain", FabricKind::kChain},
+    {"fan_in_tree", FabricKind::kFanInTree},
+    {"fan_in", FabricKind::kFanInTree},
+    {"parking_lot", FabricKind::kParkingLot},
+    {"mesh", FabricKind::kMesh},
+    {"ring", FabricKind::kRing},
+    {"clos", FabricKind::kClos},
+};
+constexpr Name<SourceKind> kSourceNames[] = {
+    {"onoff", SourceKind::kOnOff},
+    {"cbr", SourceKind::kCbr},
+    {"poisson", SourceKind::kPoisson},
+};
+constexpr Name<CcKind> kCcNames[] = {
+    {"off", CcKind::kOff},   {"reno", CcKind::kReno}, {"bbr", CcKind::kBbr},
+    {"rack", CcKind::kRack}, {"mix", CcKind::kMix},
+};
+constexpr Name<ReroutePolicy> kRerouteNames[] = {
+    {"degrade", ReroutePolicy::kDegrade},
+    {"preempt", ReroutePolicy::kPreempt},
+};
+constexpr Name<AdmissionMode> kAdmissionNames[] = {
+    {"measurement", AdmissionMode::kMeasurementBased},
+    {"parameter", AdmissionMode::kParameterBased},
+};
+constexpr Name<Estimator> kEstimatorNames[] = {
+    {"peak", Estimator::kPeakEpoch},
+    {"ewma", Estimator::kEwma},
+};
+constexpr Name<sim::EventBackend> kEventBackendNames[] = {
+    {"heap", sim::EventBackend::kHeap},
+    {"wheel", sim::EventBackend::kWheel},
+    {"auto", sim::EventBackend::kAuto},
+};
+constexpr Name<sched::OrderBackend> kOrderBackendNames[] = {
+    {"heap", sched::OrderBackend::kHeap},
+    {"calendar", sched::OrderBackend::kCalendar},
+    {"auto", sched::OrderBackend::kAuto},
+};
+
+constexpr const auto& names(FabricKind) { return kFabricNames; }
+constexpr const auto& names(SourceKind) { return kSourceNames; }
+constexpr const auto& names(CcKind) { return kCcNames; }
+constexpr const auto& names(ReroutePolicy) { return kRerouteNames; }
+constexpr const auto& names(AdmissionMode) { return kAdmissionNames; }
+constexpr const auto& names(Estimator) { return kEstimatorNames; }
+constexpr const auto& names(sim::EventBackend) { return kEventBackendNames; }
+constexpr const auto& names(sched::OrderBackend) { return kOrderBackendNames; }
+
+template <class E>
+const char* name_of(E value) {
+  for (const auto& n : names(value)) {
+    if (n.value == value) return n.name;
+  }
+  return "?";
+}
+
+template <class E>
+E parse_enum(const std::string& key, const std::string& v) {
+  for (const auto& n : names(E{})) {
+    if (v == n.name) return n.value;
+  }
+  fail(key, "unknown value for");
+}
+
+// ---- the key table -------------------------------------------------------
+
+/// Parses a value for a field of type T (the seed's std::uint64_t is
+/// std::size_t on LP64, so it has a setter of its own in the table).
+template <class T>
+T parse(const std::string& key, const std::string& v) {
+  if constexpr (std::is_same_v<T, bool>) return parse_bool(key, v);
+  else if constexpr (std::is_same_v<T, int>) return parse_int(key, v);
+  else if constexpr (std::is_same_v<T, std::size_t>) return parse_size(key, v);
+  else if constexpr (std::is_same_v<T, double>) return parse_double(key, v);
+  else if constexpr (std::is_same_v<T, std::vector<double>>) {
+    return parse_list(key, v);
+  } else {
+    return parse_enum<T>(key, v);
+  }
+}
+
+template <auto Field>
+void set_field(ScenarioSpec& spec, const std::string& key,
+               const std::string& value) {
+  spec.*Field = parse<std::remove_cvref_t<decltype(spec.*Field)>>(key, value);
+}
+
+template <auto Field>
+double get_field(const ScenarioSpec& spec) {
+  return static_cast<double>(spec.*Field);
+}
+
+template <auto Field>
+constexpr ConfigKey field_key(const char* name) {
+  return {name, &set_field<Field>};
+}
+
+template <auto Field>
+constexpr ConfigKey field_key(const char* name, KeyRange range) {
+  return {name, &set_field<Field>, &get_field<Field>, range};
+}
+
+/// A key named after its ScenarioSpec field, optionally with the range
+/// validate() holds that field to on its own.
+#define ISPN_KEY(field, ...) \
+  field_key<&ScenarioSpec::field>(#field __VA_OPT__(, ) __VA_ARGS__)
+
+constexpr KeyRange at_least(double lo) { return {.lo = lo}; }
+constexpr KeyRange above(double lo) { return {.lo = lo, .lo_open = true}; }
+constexpr KeyRange closed(double lo, double hi) { return {.lo = lo, .hi = hi}; }
+constexpr KeyRange open(double lo, double hi) {
+  return {.lo = lo, .hi = hi, .lo_open = true, .hi_open = true};
+}
+
+/// Every config key, in ScenarioSpec field order.  Cross-field rules live
+/// in validate().
+constexpr ConfigKey kKeys[] = {
+    // "preset" REPLACES the whole spec; apply_json orders it first.
+    {"preset",
+     [](ScenarioSpec& s, const std::string&, const std::string& v) {
+       s = preset(v);
+     }},
+    {"scale",
+     [](ScenarioSpec& s, const std::string&, const std::string& v) {
+       apply_scale(s, v);
+     }},
+    // fabric
+    ISPN_KEY(fabric),
+    ISPN_KEY(chain_switches, at_least(2)),
+    ISPN_KEY(tree_depth, at_least(2)),
+    ISPN_KEY(tree_width, at_least(1)),
+    ISPN_KEY(parking_hops, at_least(1)),
+    ISPN_KEY(mesh_rows, at_least(1)),
+    ISPN_KEY(mesh_cols, at_least(1)),
+    ISPN_KEY(ring_switches, at_least(3)),
+    ISPN_KEY(clos_spines, at_least(1)),
+    ISPN_KEY(clos_leaves, at_least(2)),
+    ISPN_KEY(link_rate, above(0)),
+    ISPN_KEY(parking_rate_step, above(0)),
+    ISPN_KEY(buffer_pkts, at_least(1)),
+    ISPN_KEY(class_targets),
+    // workload
+    ISPN_KEY(arrival_rate),
+    ISPN_KEY(arrival_window),
+    ISPN_KEY(target_flows, at_least(1)),
+    ISPN_KEY(mean_hold),
+    ISPN_KEY(p_guaranteed, at_least(0)),
+    ISPN_KEY(p_predicted, at_least(0)),
+    ISPN_KEY(long_flow_fraction, closed(0, 1)),
+    ISPN_KEY(source),
+    ISPN_KEY(avg_rate_pps, above(0)),
+    ISPN_KEY(peak_factor, at_least(1)),
+    ISPN_KEY(packet_bits, above(0)),
+    ISPN_KEY(target_delay, above(0)),
+    ISPN_KEY(target_loss, closed(0, 1)),
+    ISPN_KEY(preempt_on_reject),
+    // responsive traffic
+    ISPN_KEY(cc),
+    ISPN_KEY(binary_feedback),
+    ISPN_KEY(mark_threshold, above(0)),
+    ISPN_KEY(cc_max_cwnd, at_least(2)),
+    // failures; fail_link appends, so several --fail-link flags compose
+    {"fail_link",
+     [](ScenarioSpec& s, const std::string& k, const std::string& v) {
+       s.link_failures.push_back(parse_fail_link(k, v));
+     }},
+    ISPN_KEY(link_failure_rate, at_least(0)),
+    ISPN_KEY(link_repair_mean, at_least(0)),
+    ISPN_KEY(flap_prob, closed(0, 1)),
+    ISPN_KEY(flap_burst_max, at_least(1)),
+    ISPN_KEY(flap_gap_mean, above(0)),
+    ISPN_KEY(node_crash_rate, at_least(0)),
+    ISPN_KEY(node_repair_mean, at_least(0)),
+    ISPN_KEY(brownout_rate, at_least(0)),
+    ISPN_KEY(brownout_fraction, open(0, 1)),
+    ISPN_KEY(brownout_mean, above(0)),
+    ISPN_KEY(loss_rate, at_least(0)),
+    ISPN_KEY(loss_prob, closed(0, 1)),
+    ISPN_KEY(loss_mean, above(0)),
+    ISPN_KEY(reroute_policy),
+    ISPN_KEY(readmit_backoff, at_least(0)),
+    ISPN_KEY(readmit_backoff_factor, at_least(1)),
+    ISPN_KEY(readmit_backoff_max),
+    ISPN_KEY(readmit_max_attempts, at_least(1)),
+    ISPN_KEY(invariant_cadence, at_least(0)),
+    // run
+    ISPN_KEY(run_seconds, above(0)),
+    ISPN_KEY(drain_grace, above(0)),
+    {"seed",
+     [](ScenarioSpec& s, const std::string& k, const std::string& v) {
+       s.seed = parse_seed(k, v);
+     }},
+    // admission / measurement
+    ISPN_KEY(admission_mode),
+    ISPN_KEY(datagram_quota, open(0, 1)),
+    ISPN_KEY(measurement_window, above(0)),
+    ISPN_KEY(measurement_safety, at_least(1)),
+    ISPN_KEY(measurement_estimator),
+    ISPN_KEY(measurement_ewma_gain,
+             KeyRange{.lo = 0, .hi = 1, .lo_open = true}),
+    // engine
+    ISPN_KEY(event_backend),
+    ISPN_KEY(order_backend),
+    ISPN_KEY(hierarchical),
+    ISPN_KEY(shards, at_least(0)),
+    ISPN_KEY(link_latency),
+};
+
+#undef ISPN_KEY
+
+/// The range as diagnostics print it: ">= lo", "> lo", or "[lo,hi]" with
+/// open ends in parentheses.
+std::string range_text(const KeyRange& r) {
+  std::ostringstream out;
+  if (std::isinf(r.hi)) {
+    out << (r.lo_open ? "> " : ">= ") << r.lo;
+  } else {
+    out << (r.lo_open ? '(' : '[') << r.lo << ',' << r.hi
+        << (r.hi_open ? ')' : ']');
+  }
+  return out.str();
+}
+
 }  // namespace
 
-const char* to_string(FabricKind kind) {
-  switch (kind) {
-    case FabricKind::kChain: return "chain";
-    case FabricKind::kFanInTree: return "fan_in_tree";
-    case FabricKind::kParkingLot: return "parking_lot";
-    case FabricKind::kMesh: return "mesh";
-    case FabricKind::kRing: return "ring";
-    case FabricKind::kClos: return "clos";
-  }
-  return "?";
-}
+std::span<const ConfigKey> config_keys() { return kKeys; }
 
-const char* to_string(SourceKind kind) {
-  switch (kind) {
-    case SourceKind::kOnOff: return "onoff";
-    case SourceKind::kCbr: return "cbr";
-    case SourceKind::kPoisson: return "poisson";
-  }
-  return "?";
-}
-
-const char* to_string(CcKind kind) {
-  switch (kind) {
-    case CcKind::kOff: return "off";
-    case CcKind::kReno: return "reno";
-    case CcKind::kBbr: return "bbr";
-    case CcKind::kRack: return "rack";
-    case CcKind::kMix: return "mix";
-  }
-  return "?";
-}
+const char* to_string(FabricKind kind) { return name_of(kind); }
+const char* to_string(SourceKind kind) { return name_of(kind); }
+const char* to_string(CcKind kind) { return name_of(kind); }
 
 void ScenarioSpec::validate() const {
+  for (const ConfigKey& k : kKeys) {
+    if (k.range && !k.range->contains(k.get(*this))) {
+      throw std::invalid_argument("scenario config: " + std::string(k.name) +
+                                  " (need " + range_text(*k.range) +
+                                  ") out of range");
+    }
+  }
+  // Cross-field rules; every single-field range is in the key table.
   const auto check = [](bool ok, const char* field) {
     if (!ok) {
       throw std::invalid_argument(std::string("scenario config: ") + field +
                                   " out of range");
     }
   };
-  check(chain_switches >= 2, "chain_switches (need >= 2)");
-  check(tree_depth >= 2, "tree_depth (need >= 2)");
-  check(tree_width >= 1, "tree_width (need >= 1)");
-  check(parking_hops >= 1, "parking_hops (need >= 1)");
-  check(mesh_rows >= 1 && mesh_cols >= 1 && mesh_rows * mesh_cols >= 2,
+  check(mesh_rows > 1 || mesh_cols > 1,
         "mesh_rows/mesh_cols (need a >= 2 switch grid)");
-  check(ring_switches >= 3, "ring_switches (need >= 3)");
-  check(clos_spines >= 1, "clos_spines (need >= 1)");
-  check(clos_leaves >= 2, "clos_leaves (need >= 2)");
-  check(link_failure_rate >= 0, "link_failure_rate (need >= 0)");
-  check(link_repair_mean >= 0, "link_repair_mean (need >= 0)");
-  check(flap_prob >= 0 && flap_prob <= 1, "flap_prob (need [0,1])");
-  check(flap_burst_max >= 1, "flap_burst_max (need >= 1)");
-  check(flap_gap_mean > 0, "flap_gap_mean (need > 0)");
   // Flap bursts ride on repair events: generating failures without
   // repairs while asking for flaps is contradictory, not a silent no-op.
   check(flap_prob == 0 || link_failure_rate == 0 || link_repair_mean > 0,
         "flap_prob (flapping needs repairable links: link_repair_mean > 0)");
-  check(node_crash_rate >= 0, "node_crash_rate (need >= 0)");
-  check(node_repair_mean >= 0, "node_repair_mean (need >= 0)");
-  check(brownout_rate >= 0, "brownout_rate (need >= 0)");
-  check(brownout_fraction > 0 && brownout_fraction < 1,
-        "brownout_fraction (need (0,1))");
-  check(brownout_mean > 0, "brownout_mean (need > 0)");
   // A browned-out link must still clear its committed WFQ clock rates:
   // the fraction may not eat the whole non-datagram share.
   check(brownout_rate == 0 || brownout_fraction > datagram_quota,
         "brownout_fraction (need > datagram_quota or guaranteed flows "
         "cannot survive a brown-out)");
-  check(loss_rate >= 0, "loss_rate (need >= 0)");
-  check(loss_prob >= 0 && loss_prob <= 1, "loss_prob (need [0,1])");
-  check(loss_mean > 0, "loss_mean (need > 0)");
   // Loss episodes that drop nothing are a contradiction, not a no-op.
   check(loss_rate == 0 || loss_prob > 0,
         "loss_prob (loss_rate is set but episodes would drop nothing)");
-  check(readmit_backoff >= 0, "readmit_backoff (need >= 0)");
-  check(readmit_backoff_factor >= 1,
-        "readmit_backoff_factor (need >= 1)");
   check(readmit_backoff_max >= readmit_backoff,
         "readmit_backoff_max (need >= readmit_backoff)");
-  check(readmit_max_attempts >= 1, "readmit_max_attempts (need >= 1)");
-  check(invariant_cadence >= 0, "invariant_cadence (need >= 0)");
   for (const auto& f : link_failures) {
     check(f.src >= 0 && f.dst >= 0 && f.src != f.dst,
           "link_failures (need distinct non-negative node ids)");
@@ -189,36 +385,14 @@ void ScenarioSpec::validate() const {
     check(f.up_at < 0 || f.up_at > f.down_at,
           "link_failures (need up_at > down_at)");
   }
-  check(link_rate > 0, "link_rate (need > 0)");
-  check(parking_rate_step > 0, "parking_rate_step (need > 0)");
-  check(buffer_pkts >= 1, "buffer_pkts (need >= 1)");
   check(!class_targets.empty() &&
             std::is_sorted(class_targets.begin(), class_targets.end()) &&
             class_targets.front() > 0,
         "class_targets (need ascending positives)");
-  check(target_flows >= 1, "target_flows (need >= 1)");
-  check(p_guaranteed >= 0 && p_predicted >= 0 &&
-            p_guaranteed + p_predicted <= 1.0 + 1e-12,
+  check(p_guaranteed + p_predicted <= 1.0 + 1e-12,
         "p_guaranteed/p_predicted (need a sub-unit mix)");
-  check(long_flow_fraction >= 0 && long_flow_fraction <= 1,
-        "long_flow_fraction (need [0,1])");
-  check(avg_rate_pps > 0, "avg_rate_pps (need > 0)");
-  check(peak_factor >= 1, "peak_factor (need >= 1)");
-  check(packet_bits > 0, "packet_bits (need > 0)");
-  check(target_delay > 0, "target_delay (need > 0)");
-  check(run_seconds > 0, "run_seconds (need > 0)");
-  check(drain_grace > 0, "drain_grace (need > 0)");
-  check(datagram_quota > 0 && datagram_quota < 1,
-        "datagram_quota (need (0,1))");
-  check(measurement_window > 0, "measurement_window (need > 0)");
-  check(measurement_safety >= 1, "measurement_safety (need >= 1)");
-  check(measurement_ewma_gain > 0 && measurement_ewma_gain <= 1,
-        "measurement_ewma_gain (need (0,1])");
-  check(shards >= 0, "shards (need >= 0)");
   check(shards == 0 || link_latency > 0,
         "link_latency (need > 0 with shards >= 1)");
-  check(mark_threshold > 0, "mark_threshold (need > 0)");
-  check(cc_max_cwnd >= 2, "cc_max_cwnd (need >= 2)");
 }
 
 core::IspnNetwork::Config ScenarioSpec::network_config() const {
@@ -296,8 +470,7 @@ std::string ScenarioSpec::describe() const {
       out << "+rate" << link_failure_rate << "/s";
       if (link_repair_mean > 0) out << " repair=" << link_repair_mean << "s";
     }
-    out << " policy="
-        << (reroute_policy == ReroutePolicy::kDegrade ? "degrade" : "preempt");
+    out << " policy=" << name_of(reroute_policy);
   }
   if (node_crash_rate > 0) {
     out << " crashes=" << node_crash_rate << "/s";
@@ -409,181 +582,13 @@ void apply_scale(ScenarioSpec& spec, const std::string& scale) {
   }
 }
 
+
 void apply_override(ScenarioSpec& spec, const std::string& key,
                     const std::string& value) {
-  if (key == "preset") {
-    const ScenarioSpec base = preset(value);
-    spec = base;
-  } else if (key == "scale") {
-    apply_scale(spec, value);
-  } else if (key == "fabric") {
-    if (value == "chain") spec.fabric = FabricKind::kChain;
-    else if (value == "fan_in_tree" || value == "fan_in")
-      spec.fabric = FabricKind::kFanInTree;
-    else if (value == "parking_lot") spec.fabric = FabricKind::kParkingLot;
-    else if (value == "mesh") spec.fabric = FabricKind::kMesh;
-    else if (value == "ring") spec.fabric = FabricKind::kRing;
-    else if (value == "clos") spec.fabric = FabricKind::kClos;
-    else fail(key, "unknown fabric for");
-  } else if (key == "chain_switches") {
-    spec.chain_switches = parse_int(key, value);
-  } else if (key == "tree_depth") {
-    spec.tree_depth = parse_int(key, value);
-  } else if (key == "tree_width") {
-    spec.tree_width = parse_int(key, value);
-  } else if (key == "parking_hops") {
-    spec.parking_hops = parse_int(key, value);
-  } else if (key == "mesh_rows") {
-    spec.mesh_rows = parse_int(key, value);
-  } else if (key == "mesh_cols") {
-    spec.mesh_cols = parse_int(key, value);
-  } else if (key == "ring_switches") {
-    spec.ring_switches = parse_int(key, value);
-  } else if (key == "clos_spines") {
-    spec.clos_spines = parse_int(key, value);
-  } else if (key == "clos_leaves") {
-    spec.clos_leaves = parse_int(key, value);
-  } else if (key == "fail_link") {
-    // Appends (several --fail-link flags compose).
-    spec.link_failures.push_back(parse_fail_link(key, value));
-  } else if (key == "link_failure_rate") {
-    spec.link_failure_rate = parse_double(key, value);
-  } else if (key == "link_repair_mean") {
-    spec.link_repair_mean = parse_double(key, value);
-  } else if (key == "flap_prob") {
-    spec.flap_prob = parse_double(key, value);
-  } else if (key == "flap_burst_max") {
-    spec.flap_burst_max = parse_int(key, value);
-  } else if (key == "flap_gap_mean") {
-    spec.flap_gap_mean = parse_double(key, value);
-  } else if (key == "node_crash_rate") {
-    spec.node_crash_rate = parse_double(key, value);
-  } else if (key == "node_repair_mean") {
-    spec.node_repair_mean = parse_double(key, value);
-  } else if (key == "brownout_rate") {
-    spec.brownout_rate = parse_double(key, value);
-  } else if (key == "brownout_fraction") {
-    spec.brownout_fraction = parse_double(key, value);
-  } else if (key == "brownout_mean") {
-    spec.brownout_mean = parse_double(key, value);
-  } else if (key == "loss_rate") {
-    spec.loss_rate = parse_double(key, value);
-  } else if (key == "loss_prob") {
-    spec.loss_prob = parse_double(key, value);
-  } else if (key == "loss_mean") {
-    spec.loss_mean = parse_double(key, value);
-  } else if (key == "readmit_backoff") {
-    spec.readmit_backoff = parse_double(key, value);
-  } else if (key == "readmit_backoff_factor") {
-    spec.readmit_backoff_factor = parse_double(key, value);
-  } else if (key == "readmit_backoff_max") {
-    spec.readmit_backoff_max = parse_double(key, value);
-  } else if (key == "readmit_max_attempts") {
-    spec.readmit_max_attempts = parse_int(key, value);
-  } else if (key == "invariant_cadence") {
-    spec.invariant_cadence = parse_double(key, value);
-  } else if (key == "reroute_policy") {
-    if (value == "degrade") spec.reroute_policy = ReroutePolicy::kDegrade;
-    else if (value == "preempt") spec.reroute_policy = ReroutePolicy::kPreempt;
-    else fail(key, "unknown reroute policy for");
-  } else if (key == "link_rate") {
-    spec.link_rate = parse_double(key, value);
-  } else if (key == "parking_rate_step") {
-    spec.parking_rate_step = parse_double(key, value);
-  } else if (key == "buffer_pkts") {
-    spec.buffer_pkts = parse_size(key, value);
-  } else if (key == "class_targets") {
-    spec.class_targets = parse_list(key, value);
-  } else if (key == "arrival_rate") {
-    spec.arrival_rate = parse_double(key, value);
-  } else if (key == "arrival_window") {
-    spec.arrival_window = parse_double(key, value);
-  } else if (key == "target_flows") {
-    spec.target_flows = parse_int(key, value);
-  } else if (key == "mean_hold") {
-    spec.mean_hold = parse_double(key, value);
-  } else if (key == "p_guaranteed") {
-    spec.p_guaranteed = parse_double(key, value);
-  } else if (key == "p_predicted") {
-    spec.p_predicted = parse_double(key, value);
-  } else if (key == "long_flow_fraction") {
-    spec.long_flow_fraction = parse_double(key, value);
-  } else if (key == "source") {
-    if (value == "onoff") spec.source = SourceKind::kOnOff;
-    else if (value == "cbr") spec.source = SourceKind::kCbr;
-    else if (value == "poisson") spec.source = SourceKind::kPoisson;
-    else fail(key, "unknown source kind for");
-  } else if (key == "avg_rate_pps") {
-    spec.avg_rate_pps = parse_double(key, value);
-  } else if (key == "peak_factor") {
-    spec.peak_factor = parse_double(key, value);
-  } else if (key == "packet_bits") {
-    spec.packet_bits = parse_double(key, value);
-  } else if (key == "target_delay") {
-    spec.target_delay = parse_double(key, value);
-  } else if (key == "target_loss") {
-    spec.target_loss = parse_double(key, value);
-  } else if (key == "cc") {
-    if (value == "off") spec.cc = CcKind::kOff;
-    else if (value == "reno") spec.cc = CcKind::kReno;
-    else if (value == "bbr") spec.cc = CcKind::kBbr;
-    else if (value == "rack") spec.cc = CcKind::kRack;
-    else if (value == "mix") spec.cc = CcKind::kMix;
-    else fail(key, "unknown congestion control for");
-  } else if (key == "binary_feedback") {
-    spec.binary_feedback = parse_bool(key, value);
-  } else if (key == "mark_threshold") {
-    spec.mark_threshold = parse_double(key, value);
-  } else if (key == "cc_max_cwnd") {
-    spec.cc_max_cwnd = parse_double(key, value);
-  } else if (key == "preempt_on_reject") {
-    spec.preempt_on_reject = parse_bool(key, value);
-  } else if (key == "run_seconds") {
-    spec.run_seconds = parse_double(key, value);
-  } else if (key == "drain_grace") {
-    spec.drain_grace = parse_double(key, value);
-  } else if (key == "seed") {
-    spec.seed = parse_seed(key, value);
-  } else if (key == "admission_mode") {
-    if (value == "measurement")
-      spec.admission_mode = core::AdmissionController::Mode::kMeasurementBased;
-    else if (value == "parameter")
-      spec.admission_mode = core::AdmissionController::Mode::kParameterBased;
-    else fail(key, "unknown admission mode for");
-  } else if (key == "datagram_quota") {
-    spec.datagram_quota = parse_double(key, value);
-  } else if (key == "measurement_window") {
-    spec.measurement_window = parse_double(key, value);
-  } else if (key == "measurement_safety") {
-    spec.measurement_safety = parse_double(key, value);
-  } else if (key == "measurement_estimator") {
-    if (value == "peak")
-      spec.measurement_estimator = core::LinkMeasurement::Estimator::kPeakEpoch;
-    else if (value == "ewma")
-      spec.measurement_estimator = core::LinkMeasurement::Estimator::kEwma;
-    else fail(key, "unknown estimator for");
-  } else if (key == "measurement_ewma_gain") {
-    spec.measurement_ewma_gain = parse_double(key, value);
-  } else if (key == "shards") {
-    spec.shards = parse_int(key, value);
-  } else if (key == "link_latency") {
-    spec.link_latency = parse_double(key, value);
-  } else if (key == "event_backend") {
-    if (value == "heap") spec.event_backend = sim::EventBackend::kHeap;
-    else if (value == "wheel") spec.event_backend = sim::EventBackend::kWheel;
-    else if (value == "auto") spec.event_backend = sim::EventBackend::kAuto;
-    else fail(key, "unknown event backend for");
-  } else if (key == "hierarchical") {
-    spec.hierarchical = parse_bool(key, value);
-  } else if (key == "order_backend") {
-    if (value == "heap") spec.order_backend = sched::OrderBackend::kHeap;
-    else if (value == "calendar")
-      spec.order_backend = sched::OrderBackend::kCalendar;
-    else if (value == "auto") spec.order_backend = sched::OrderBackend::kAuto;
-    else fail(key, "unknown order backend for");
-  } else {
-    fail(key, "unknown key");
+  for (const ConfigKey& k : kKeys) {
+    if (key == k.name) return k.set(spec, key, value);
   }
+  fail(key, "unknown key");
 }
 
 namespace {

@@ -17,6 +17,9 @@
 #pragma once
 
 #include <cstdint>
+#include <limits>
+#include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -221,6 +224,36 @@ struct ScenarioSpec {
   [[nodiscard]] std::string describe() const;
 };
 
+/// The range validate() holds one numeric key to on its own: an unbounded
+/// end is infinite, and each end is open or closed.
+struct KeyRange {
+  double lo = -std::numeric_limits<double>::infinity();
+  double hi = std::numeric_limits<double>::infinity();
+  bool lo_open = false;
+  bool hi_open = false;
+  [[nodiscard]] bool contains(double x) const {
+    return (lo_open ? x > lo : x >= lo) && (hi_open ? x < hi : x <= hi);
+  }
+};
+
+/// One config key.  Every ScenarioSpec field is a key of the same name,
+/// except link_failures, which the appending "fail_link" key
+/// (SRC:DST@T[,up@T2]) fills; "preset" and "scale" complete the set.
+struct ConfigKey {
+  const char* name;
+  /// Parses `value` into the spec; throws std::invalid_argument naming
+  /// `key` and leaves the spec untouched when the value is malformed.
+  void (*set)(ScenarioSpec& spec, const std::string& key,
+              const std::string& value);
+  /// Reads the field back as a number (numeric keys with a range only).
+  double (*get)(const ScenarioSpec& spec) = nullptr;
+  std::optional<KeyRange> range = std::nullopt;
+};
+
+/// Every key apply_override() and apply_json() accept: "preset" and
+/// "scale", then the fields in declaration order.
+[[nodiscard]] std::span<const ConfigKey> config_keys();
+
 /// Named presets: "chain", "fan_in", "parking_lot", "churn" (an
 /// admission-churn chain: fast arrivals/departures against tight links),
 /// "failure" (a mesh under seeded link failures and repairs with the EWMA
@@ -237,9 +270,9 @@ void apply_scale(ScenarioSpec& spec, const std::string& scale);
 /// Parses a flat JSON-ish object ({"key": value, ...}; keys may be bare,
 /// values are numbers, booleans or strings; '#' comments allowed) into an
 /// existing spec — unknown keys or malformed values throw
-/// std::invalid_argument with the offending key.  Accepted keys mirror
-/// the field names above plus "preset" and "scale" (applied first, in
-/// that order, regardless of file position).  Returns true when the text
+/// std::invalid_argument with the offending key.  Accepted keys are
+/// config_keys(); "preset" and "scale" are applied first, in that order,
+/// regardless of file position.  Returns true when the text
 /// contained a "preset" key — callers layering configs use this to
 /// refuse a preset that would discard earlier settings.
 bool apply_json(ScenarioSpec& spec, const std::string& text);

@@ -11,9 +11,14 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <iomanip>
 #include <random>
+#include <set>
+#include <sstream>
 #include <stdexcept>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "scenario/runner.h"
@@ -90,6 +95,7 @@ TEST(ScenarioConfig, SeedRejectsOutOfRangeBeforeTheCast) {
 TEST(ScenarioConfig, EnumKeysRejectUnknownValues) {
   must_throw("fabric", "torus");
   must_throw("source", "pareto");
+  must_throw("cc", "cubic");
   must_throw("reroute_policy", "panic");
   must_throw("admission_mode", "oracle");
   must_throw("measurement_estimator", "kalman");
@@ -126,6 +132,55 @@ TEST(ScenarioConfig, OutOfRangeValuesFailValidate) {
   reject("run_seconds", "0");
   reject("mesh_rows", "0");
   reject("p_guaranteed", "0.7");  // chaos has p_predicted=0.4: mix > 1
+  reject("target_loss", "-0.5");
+  reject("target_loss", "1.5");
+}
+
+/// `x` printed with enough digits to parse back exactly.
+std::string spell(double x) {
+  std::ostringstream out;
+  out << std::setprecision(17) << x;
+  return out.str();
+}
+
+/// Applies a value just beyond `end` (outwards along `sign`) that the key
+/// parses: 1e-9 out for a real field, one unit out for an integer one.
+void apply_beyond(scenario::ScenarioSpec& spec, const char* key, double end,
+                  double sign) {
+  try {
+    scenario::apply_override(spec, key, spell(end + sign * 1e-9));
+  } catch (const std::invalid_argument&) {
+    scenario::apply_override(spec, key, spell(end + sign));
+  }
+}
+
+TEST(ScenarioConfig, EveryKeyRangeIsEnforcedAtItsEdges) {
+  // Each ranged key, on an otherwise default spec: just outside either
+  // end fails validate(), and each closed end itself passes.
+  int ranged = 0;
+  for (const scenario::ConfigKey& key : scenario::config_keys()) {
+    if (!key.range) continue;
+    ++ranged;
+    const scenario::KeyRange& r = *key.range;
+    const std::tuple<double, bool, double> ends[] = {{r.lo, r.lo_open, -1.0},
+                                                     {r.hi, r.hi_open, 1.0}};
+    for (const auto& [end, is_open, sign] : ends) {
+      if (std::isinf(end)) continue;
+      scenario::ScenarioSpec spec;
+      if (is_open) {
+        scenario::apply_override(spec, key.name, spell(end));
+      } else {
+        apply_beyond(spec, key.name, end, sign);
+      }
+      EXPECT_THROW(spec.validate(), std::invalid_argument)
+          << key.name << " just outside " << end;
+      if (!is_open) {
+        scenario::apply_override(spec, key.name, spell(end));
+        EXPECT_NO_THROW(spec.validate()) << key.name << "=" << end;
+      }
+    }
+  }
+  EXPECT_GT(ranged, 0) << "no key carries a range";
 }
 
 TEST(ScenarioConfig, ContradictoryCombinationsAreRejected) {
@@ -199,31 +254,6 @@ TEST(ScenarioConfig, MalformedJsonIsDiagnosedNotFatal) {
 
 // --- deterministic fuzz ---------------------------------------------------
 
-const char* const kAllKeys[] = {
-    "preset",         "scale",          "fabric",
-    "chain_switches", "tree_depth",     "tree_width",
-    "parking_hops",   "mesh_rows",      "mesh_cols",
-    "ring_switches",  "clos_spines",    "clos_leaves",
-    "fail_link",      "link_failure_rate", "link_repair_mean",
-    "flap_prob",      "flap_burst_max", "flap_gap_mean",
-    "node_crash_rate", "node_repair_mean", "brownout_rate",
-    "brownout_fraction", "brownout_mean", "loss_rate",
-    "loss_prob",      "loss_mean",      "readmit_backoff",
-    "readmit_backoff_factor", "readmit_backoff_max", "readmit_max_attempts",
-    "invariant_cadence", "reroute_policy", "link_rate",
-    "parking_rate_step", "buffer_pkts",  "class_targets",
-    "arrival_rate",   "arrival_window", "target_flows",
-    "mean_hold",      "p_guaranteed",   "p_predicted",
-    "long_flow_fraction", "source",     "avg_rate_pps",
-    "peak_factor",    "packet_bits",    "target_delay",
-    "target_loss",    "preempt_on_reject", "run_seconds",
-    "drain_grace",    "seed",           "admission_mode",
-    "datagram_quota", "measurement_window", "measurement_safety",
-    "measurement_estimator", "measurement_ewma_gain", "shards",
-    "link_latency",   "event_backend",  "hierarchical",
-    "no_such_knob",   "",               "FABRIC",
-};
-
 const char* const kAdversarialValues[] = {
     "",      "0",       "1",      "-1",    "0.5",      "1.5",   "-0.5",
     "nan",   "-nan",    "inf",    "-inf",  "1e400",    "-1e400", "1e-400",
@@ -234,15 +264,23 @@ const char* const kAdversarialValues[] = {
 };
 
 TEST(ScenarioConfig, FuzzEveryKeyAgainstAdversarialValuesNeverCrashes) {
+  // Every accepted key, plus keys that must be refused.
+  std::vector<std::string> keys = {"no_such_knob", "", "FABRIC"};
+  for (const scenario::ConfigKey& key : scenario::config_keys()) {
+    keys.emplace_back(key.name);
+  }
+  ASSERT_EQ(std::set<std::string>(keys.begin(), keys.end()).size(),
+            keys.size())
+      << "a duplicate key row would shadow its twin";
+
   std::mt19937 rng(0xC0FFEE);
-  std::uniform_int_distribution<std::size_t> pick_key(
-      0, std::size(kAllKeys) - 1);
+  std::uniform_int_distribution<std::size_t> pick_key(0, keys.size() - 1);
   std::uniform_int_distribution<std::size_t> pick_value(
       0, std::size(kAdversarialValues) - 1);
 
   // Exhaustive single-override sweep: every key x every value, applied to
   // a fresh default spec.  Only std::invalid_argument may escape.
-  for (const char* key : kAllKeys) {
+  for (const std::string& key : keys) {
     for (const char* value : kAdversarialValues) {
       scenario::ScenarioSpec spec;
       try {
@@ -263,7 +301,7 @@ TEST(ScenarioConfig, FuzzEveryKeyAgainstAdversarialValuesNeverCrashes) {
         scenario::preset(presets[round % std::size(presets)]);
     for (int k = 0; k < 6; ++k) {
       try {
-        scenario::apply_override(spec, kAllKeys[pick_key(rng)],
+        scenario::apply_override(spec, keys[pick_key(rng)],
                                  kAdversarialValues[pick_value(rng)]);
       } catch (const std::invalid_argument&) {
       }

@@ -5,7 +5,6 @@
 
 #include "sim/random.h"
 #include "stats/ewma.h"
-#include "stats/histogram.h"
 #include "stats/online_stats.h"
 #include "stats/percentile.h"
 #include "stats/rate_meter.h"
@@ -214,52 +213,6 @@ TEST(RateMeter, ExpiresOldTraffic) {
   m.add(0.5, 5000.0);
   EXPECT_NEAR(m.mean_rate(20.0), 0.0, 1e-9);
   EXPECT_NEAR(m.peak_rate(20.0), 0.0, 1e-9);
-}
-
-// -------------------------------------------------------------- Histogram --
-
-TEST(Histogram, CountsBinsAndOverflow) {
-  Histogram h(0.0, 10.0, 10);
-  h.add(0.5);
-  h.add(1.5);
-  h.add(1.7);
-  h.add(25.0);
-  h.add(-1.0);
-  EXPECT_EQ(h.total(), 5u);
-  EXPECT_EQ(h.bin_count(0), 1u);
-  EXPECT_EQ(h.bin_count(1), 2u);
-  EXPECT_EQ(h.overflow(), 1u);
-  EXPECT_EQ(h.underflow(), 1u);
-}
-
-TEST(Histogram, CdfMonotone) {
-  Histogram h(0.0, 10.0, 10);
-  sim::Rng rng(77);
-  for (int i = 0; i < 10000; ++i) h.add(rng.uniform(0.0, 10.0));
-  double prev = 0;
-  for (double x = 0; x <= 10.0; x += 0.5) {
-    const double c = h.cdf(x);
-    EXPECT_GE(c, prev);
-    prev = c;
-  }
-  EXPECT_NEAR(h.cdf(5.0), 0.5, 0.02);
-  EXPECT_DOUBLE_EQ(h.cdf(10.0), 1.0);
-}
-
-TEST(Histogram, AsciiRendersNonEmpty) {
-  Histogram h(0.0, 4.0, 4);
-  h.add(1.0);
-  h.add(1.2);
-  h.add(3.0);
-  const auto art = h.ascii(20);
-  EXPECT_NE(art.find('#'), std::string::npos);
-}
-
-TEST(Histogram, ResetClears) {
-  Histogram h(0.0, 1.0, 2);
-  h.add(0.5);
-  h.reset();
-  EXPECT_EQ(h.total(), 0u);
 }
 
 }  // namespace

@@ -3,7 +3,6 @@
 #include <gtest/gtest.h>
 
 #include "sim/random.h"
-#include "traffic/leaky_bucket.h"
 
 namespace ispn::traffic {
 namespace {
@@ -137,41 +136,6 @@ TEST(MinDepth, NonIncreasingInRate) {
     const double b = min_depth(trace, r);
     EXPECT_LE(b, prev + 1e-9) << "b(r) must be non-increasing";
     prev = b;
-  }
-}
-
-// ------------------------------------------------------------ LeakyBucket --
-
-TEST(LeakyBucket, NoDelayWhenSlow) {
-  std::vector<TracePacket> trace = {{0.0, 1000}, {2.0, 1000}, {4.0, 1000}};
-  const auto shaped = shape(trace, 1000.0);
-  EXPECT_DOUBLE_EQ(shaped.departures[0], 1.0);
-  EXPECT_DOUBLE_EQ(shaped.departures[1], 3.0);
-  EXPECT_DOUBLE_EQ(shaped.max_delay, 1.0);  // just the service time
-}
-
-TEST(LeakyBucket, QueuesBurst) {
-  std::vector<TracePacket> trace(4, TracePacket{0.0, 1000.0});
-  const auto shaped = shape(trace, 1000.0);
-  EXPECT_DOUBLE_EQ(shaped.departures[3], 4.0);
-  EXPECT_DOUBLE_EQ(shaped.max_delay, 4.0);
-}
-
-TEST(LeakyBucket, ShapingDelayBoundedByFluidBound) {
-  // Paper §4: a trace conforming to (r, b) sees at most b/r + p/r delay in
-  // a rate-r leaky bucket (b/r fluid bound plus one packet service time).
-  sim::Rng rng(21);
-  for (int trial = 0; trial < 10; ++trial) {
-    std::vector<TracePacket> trace;
-    double t = 0;
-    for (int i = 0; i < 500; ++i) {
-      t += rng.exponential(1.0);
-      trace.push_back({t, 1000.0});
-    }
-    const double r = 1100.0;
-    const double b = min_depth(trace, r);
-    const auto shaped = shape(trace, r);
-    EXPECT_LE(shaped.max_delay, b / r + 1000.0 / r + 1e-9);
   }
 }
 

@@ -7,8 +7,8 @@
 //   scenario_run --list
 //
 // The config file is the flat JSON-ish object scenario::apply_json
-// accepts (keys mirror ScenarioSpec fields; "preset" and "scale" keys are
-// applied first).  Trailing key=value args override either form.
+// accepts (keys mirror ScenarioSpec fields, and --list prints them all;
+// "preset" and "scale" keys are applied first).  Trailing key=value args override either form.
 //
 // Output: the human-readable report on stdout; --json PATH additionally
 // writes the machine-readable report.
@@ -58,6 +58,11 @@ int main(int argc, char** argv) {
       if (arg == "--list") {
         std::printf("presets: chain fan_in parking_lot churn failure chaos\n");
         std::printf("scales:  smoke small large\n");
+        std::printf("keys:   ");
+        for (const auto& key : scenario::config_keys()) {
+          std::printf(" %s", key.name);
+        }
+        std::printf("\n");
         return 0;
       }
       if (arg == "--chaos") {
