@@ -12,7 +12,8 @@ bool FlowSpec::valid() const {
     case net::ServiceClass::kPredicted:
       return predicted.has_value() && !guaranteed.has_value() &&
              predicted->bucket.rate > 0 && predicted->bucket.depth >= 0 &&
-             predicted->target_delay > 0 && predicted->target_loss >= 0;
+             predicted->target_delay > 0 && predicted->target_loss >= 0 &&
+             predicted->target_loss <= 1;
     case net::ServiceClass::kDatagram:
       return !guaranteed.has_value() && !predicted.has_value();
   }

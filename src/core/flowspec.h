@@ -35,7 +35,7 @@ struct GuaranteedSpec {
 struct PredictedSpec {
   traffic::TokenBucketSpec bucket;
   sim::Duration target_delay = 0;  ///< D: per-path delay target (seconds)
-  double target_loss = 0;          ///< L: tolerable loss fraction
+  double target_loss = 0;          ///< L: tolerable loss fraction, [0, 1]
 };
 
 /// One flow's service request.

@@ -2,12 +2,18 @@
 
 #pragma once
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
+#include <iterator>
+#include <utility>
+#include <vector>
 
 #include "net/packet.h"
 #include "sim/units.h"
 #include "stats/percentile.h"
+#include "util/chunked_store.h"
+#include "util/slot_map.h"
 
 namespace ispn::net {
 
@@ -112,6 +118,92 @@ struct FlowStats {
                           : static_cast<double>(source_drops) /
                                 static_cast<double>(generated);
   }
+};
+
+/// Every flow's FlowStats, keyed by FlowId.  A SlotMap gives each flow a
+/// dense slot on first sight and the records sit in fixed-size chunks in
+/// slot order, so a record never moves (sources and sinks hold pointers to
+/// theirs) and nothing is sized by the largest FlowId.  Records are never
+/// removed.  Iteration visits flows in ascending FlowId through an index
+/// of slots that creation appends to; iteration sorts it in place, and
+/// only when a record arrived out of id order since the last iteration,
+/// so iterating never allocates.
+///
+/// Threading: find() is read-only, so domain threads may call it while no
+/// record is being created; creation (operator[]) and iteration belong to
+/// the control thread.
+class FlowStatsTable {
+ public:
+  /// The record of `flow`, created (zeroed) on first use.
+  FlowStats& operator[](FlowId flow) {
+    const std::uint32_t slot = slots_.acquire(flow);
+    if (slot == entries_.size()) {
+      entries_.emplace_back().flow = flow;
+      if (!order_.empty() && entries_[order_.back()].flow > flow) {
+        sorted_ = false;
+      }
+      order_.push_back(slot);
+    }
+    return entries_[slot].stats;
+  }
+
+  /// The record of `flow`, or nullptr when it was never created.
+  [[nodiscard]] FlowStats* find(FlowId flow) {
+    const std::uint32_t slot = slots_.find(flow);
+    return slot == util::SlotMap::kNoSlot ? nullptr : &entries_[slot].stats;
+  }
+
+  [[nodiscard]] std::size_t size() const { return entries_.size(); }
+
+  /// Ascending-FlowId iterator; dereferences to (flow, stats).
+  class const_iterator {
+   public:
+    using iterator_category = std::input_iterator_tag;
+    using value_type = std::pair<FlowId, const FlowStats&>;
+    using difference_type = std::ptrdiff_t;
+
+    const_iterator(const FlowStatsTable* table, std::size_t i)
+        : table_(table), i_(i) {}
+    value_type operator*() const {
+      const Entry& e = table_->entries_[table_->order_[i_]];
+      return {e.flow, e.stats};
+    }
+    const_iterator& operator++() {
+      ++i_;
+      return *this;
+    }
+    bool operator==(const const_iterator& o) const { return i_ == o.i_; }
+
+   private:
+    const FlowStatsTable* table_;
+    std::size_t i_;
+  };
+
+  [[nodiscard]] const_iterator begin() const {
+    sort_order();
+    return {this, 0};
+  }
+  [[nodiscard]] const_iterator end() const { return {this, order_.size()}; }
+
+ private:
+  struct Entry {
+    FlowId flow = kNoFlow;
+    FlowStats stats;
+  };
+
+  void sort_order() const {
+    if (sorted_) return;
+    std::sort(order_.begin(), order_.end(),
+              [this](std::uint32_t a, std::uint32_t b) {
+                return entries_[a].flow < entries_[b].flow;
+              });
+    sorted_ = true;
+  }
+
+  util::SlotMap slots_;
+  util::ChunkedStore<Entry> entries_;         // slot order
+  mutable std::vector<std::uint32_t> order_;  // every slot; see sorted_
+  mutable bool sorted_ = true;                // order_ is by ascending id
 };
 
 }  // namespace ispn::net

@@ -48,9 +48,9 @@ std::size_t Network::exchange() {
 
 FlowStats& Network::hot_stats(FlowId flow) {
   if (!sharded_) return stats_[flow];
-  auto it = stats_.find(flow);
-  assert(it != stats_.end() && "sharded stats entry not pre-created");
-  return it->second;
+  FlowStats* st = stats_.find(flow);
+  assert(st != nullptr && "sharded stats entry not pre-created");
+  return *st;
 }
 
 Host& Network::add_host(const std::string& name) {

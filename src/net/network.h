@@ -189,11 +189,11 @@ class Network {
   /// The output port from `from` towards neighbor `to`; nullptr if absent.
   [[nodiscard]] Port* port(NodeId from, NodeId to);
 
-  /// Per-flow statistics record (created on first use).
+  /// Per-flow statistics record (created on first use; its address is
+  /// stable for the network's lifetime).
   [[nodiscard]] FlowStats& stats(FlowId flow) { return stats_[flow]; }
-  [[nodiscard]] const std::map<FlowId, FlowStats>& all_stats() const {
-    return stats_;
-  }
+  /// Every flow's record, iterated in ascending FlowId.
+  [[nodiscard]] const FlowStatsTable& all_stats() const { return stats_; }
 
   /// Registers a recording sink for `flow` at `dst` that fills stats(flow)
   /// and optionally forwards to `next` (e.g. a playback application or a
@@ -235,8 +235,8 @@ class Network {
 
   /// Per-flow stats record for packet-path hooks: find-only in sharded
   /// mode (entries are pre-created at flow-open time on the control
-  /// thread, via attach_stats_sink or an explicit stats() call; a map
-  /// insert from a domain thread would race the structure).
+  /// thread, via attach_stats_sink or an explicit stats() call; creating
+  /// a record from a domain thread would race the table).
   [[nodiscard]] FlowStats& hot_stats(FlowId flow);
 
   struct Domain {
@@ -264,7 +264,7 @@ class Network {
   mutable RouteTable routes_;     // this topology epoch's routes
   std::map<std::pair<NodeId, NodeId>, sim::Rate> link_rate_;
   std::size_t mailbox_cap_override_ = 0;  // 0: BDP-sized (the default)
-  std::map<FlowId, FlowStats> stats_;
+  FlowStatsTable stats_;
   std::vector<std::unique_ptr<FlowSink>> sinks_;
 };
 

@@ -6,6 +6,7 @@
 #include <set>
 #include <stdexcept>
 #include <string>
+#include <utility>
 
 #include "traffic/cbr_source.h"
 #include "traffic/onoff_source.h"
@@ -115,6 +116,7 @@ void ScenarioRunner::prepare() {
     // interleave instead of bursting in lockstep.
     const double spread =
         spec_.avg_rate_pps * std::max(1, spec_.target_flows);
+    decisions_.reserve(static_cast<std::size_t>(spec_.target_flows));
     for (int f = 0; f < spec_.target_flows; ++f) {
       const core::FlowSpec fs = draw_spec();
       open_flow(fs, static_cast<double>(f) / spread);
@@ -328,25 +330,29 @@ void ScenarioRunner::on_loss(net::NodeId a, net::NodeId b, bool start,
 
 void ScenarioRunner::schedule_restore(net::FlowId flow) {
   if (spec_.readmit_backoff <= 0 || halted_) return;
-  FlowRec& rec = flows_[static_cast<std::size_t>(flow)];
-  if (rec.restore_attempts >= spec_.readmit_max_attempts) return;
+  FlowExtra& x = flows_[static_cast<std::size_t>(flow)].more();
+  if (x.restore_attempts >= spec_.readmit_max_attempts) return;
   // Capped exponential backoff, grown BEFORE scheduling so the first
   // retry waits the base period.
-  rec.restore_backoff =
-      rec.restore_backoff <= 0
+  x.restore_backoff =
+      x.restore_backoff <= 0
           ? spec_.readmit_backoff
-          : std::min(rec.restore_backoff * spec_.readmit_backoff_factor,
+          : std::min(x.restore_backoff * spec_.readmit_backoff_factor,
                      spec_.readmit_backoff_max);
-  const sim::Time t = net().sim().now() + rec.restore_backoff;
+  const sim::Time t = net().sim().now() + x.restore_backoff;
   if (t >= spec_.run_seconds) return;  // the run ends before the retry
   net().sim().at(ctl(t), [this, flow] { try_restore(flow); });
 }
 
 void ScenarioRunner::try_restore(net::FlowId flow) {
   FlowRec& rec = flows_[static_cast<std::size_t>(flow)];
-  if (halted_ || !rec.active || !rec.degraded || !rec.saved_spec) return;
-  const core::FlowSpec want = *rec.saved_spec;
-  ++rec.restore_attempts;
+  FlowExtra* x = rec.extra.get();
+  if (halted_ || !rec.active || !rec.degraded || x == nullptr ||
+      !x->saved_spec) {
+    return;
+  }
+  const core::FlowSpec want = *x->saved_spec;
+  ++x->restore_attempts;
   ++restore_attempts_;
   // Offer the original service on the CURRENT shortest path.  The flow
   // holds no commitment while degraded, so this is a fresh §9 admission
@@ -356,8 +362,8 @@ void ScenarioRunner::try_restore(net::FlowId flow) {
   if (h.commitment.admitted) {
     rec.handle = std::move(h);
     rec.degraded = false;
-    rec.restore_attempts = 0;
-    rec.restore_backoff = 0;
+    x->restore_attempts = 0;
+    x->restore_backoff = 0;
     ++flows_restored_;
     apply_commitment(rec, /*new_path=*/true);
     bump_epoch(rec);
@@ -462,20 +468,22 @@ void ScenarioRunner::reoffer_flow(net::FlowId flow) {
       d.kind = AdmissionDecision::Kind::kRerouted;
       break;
     }
-    case core::IspnNetwork::RerouteOutcome::kDegraded:
+    case core::IspnNetwork::RerouteOutcome::kDegraded: {
       ++flows_degraded_;
       rec.degraded = true;
       rec.bound = 0;
       rec.source->set_service(net::ServiceClass::kDatagram, 0);
       bump_epoch(rec);
       d.kind = AdmissionDecision::Kind::kDegraded;
-      if (!rec.saved_spec) {
-        rec.saved_spec = std::make_unique<core::FlowSpec>(original_spec);
+      FlowExtra& x = rec.more();
+      if (!x.saved_spec) {
+        x.saved_spec = std::make_unique<core::FlowSpec>(original_spec);
       }
-      rec.restore_attempts = 0;
-      rec.restore_backoff = 0;
+      x.restore_attempts = 0;
+      x.restore_backoff = 0;
       schedule_restore(flow);
       break;
+    }
     case core::IspnNetwork::RerouteOutcome::kClosed:
     case core::IspnNetwork::RerouteOutcome::kOrphaned:
       rec.source->stop();
@@ -553,8 +561,7 @@ void ScenarioRunner::open_flow(const core::FlowSpec& fs,
                                sim::Duration start_offset) {
   assert(static_cast<std::size_t>(fs.flow) == flows_.size());
   const sim::Time now = net().sim().now();
-  flows_.emplace_back();
-  FlowRec& rec = flows_.back();
+  FlowRec& rec = flows_.emplace_back();
   rec.opened = now;
 
   auto outcome = [&](const core::IspnNetwork::FlowHandle& h) {
@@ -695,37 +702,38 @@ void ScenarioRunner::attach_source(FlowRec& rec, sim::Duration start_offset,
       case CcKind::kOff: break;  // unreachable
     }
 
+    FlowExtra& x = rec.more();
     auto tcp = std::make_unique<traffic::TcpSource>(
         clock, tcfg, fs.flow, fs.src, fs.dst, emit, stats);
-    rec.tcp = tcp.get();
+    x.tcp = tcp.get();
     rec.source = std::move(tcp);
 
     // ACK return path at the source host: ledger count, then transport.
     const std::size_t src_domain =
         net().sharded() ? static_cast<std::size_t>(net().domain_of(fs.src))
                         : 0;
-    rec.ack_sink.emplace(&aggs_[src_domain], rec.tcp);
-    net::FlowSink* ack = &*rec.ack_sink;
+    x.ack_sink.emplace(&aggs_[src_domain], x.tcp);
+    net::FlowSink* ack = &*x.ack_sink;
     if (tracer_ != nullptr) {
       ack = net().sharded() ? tracer_->wrap_sink(ack, src_domain)
                             : tracer_->wrap_sink(ack);
     }
-    rec.ack_slot = host.register_sink(fs.flow, ack);
+    x.ack_slot = host.register_sink(fs.flow, ack);
 
     // Receiver on the destination's clock; its ACKs carry the ack sink's
     // slot label and are ledgered as reverse-direction traffic.
     sim::Simulator& dst_clock = net().sim_for(fs.dst);
     net::Host& dst_host = net().host(fs.dst);
-    const std::uint32_t ack_slot = rec.ack_slot;
+    const std::uint32_t ack_slot = x.ack_slot;
     auto ack_emit = [&dst_host, ack_slot](net::PacketPtr p) {
       p->sink_slot = ack_slot;
       dst_host.inject(std::move(p));
     };
-    rec.tcp_sink = std::make_unique<traffic::TcpSink>(
+    x.tcp_sink = std::make_unique<traffic::TcpSink>(
         dst_clock, tcfg, fs.flow, fs.dst, fs.src, ack_emit);
-    rec.tcp_sink->set_stats(stats);
-    if (net().sharded()) rec.tcp_sink->set_pool(&net().pool_for(fs.dst));
-    rec.sink->set_next(rec.tcp_sink.get());
+    x.tcp_sink->set_stats(stats);
+    if (net().sharded()) x.tcp_sink->set_pool(&net().pool_for(fs.dst));
+    rec.sink->set_next(x.tcp_sink.get());
   } else {
     switch (spec_.source) {
       case SourceKind::kOnOff: {
@@ -927,6 +935,7 @@ ScenarioReport ScenarioRunner::finish() {
     }
   }
 
+  report.flows.reserve(flows_.size());
   for (const FlowRec& rec : flows_) {
     const net::FlowStats& st = net().stats(rec.handle.spec.flow);
     report.generated += st.generated;
@@ -953,15 +962,15 @@ ScenarioReport ScenarioRunner::finish() {
     out.max_delay_all = rec.max_delay_all;
     report.flows.push_back(out);
 
-    if (rec.tcp != nullptr) {
+    if (const traffic::TcpSource* tcp = rec.tcp()) {
       ++report.cc_flows;
-      report.tcp_segments += rec.tcp->sent_segments();
-      report.tcp_delivered += rec.tcp->delivered();
-      report.tcp_retransmits += rec.tcp->retransmits();
-      report.tcp_timeouts += rec.tcp->timeouts();
-      report.tcp_reorder_timeouts += rec.tcp->reorder_timeouts();
-      report.cc_echoes += rec.tcp->echoes_received();
-      report.cc_backoffs += rec.tcp->fb_backoffs();
+      report.tcp_segments += tcp->sent_segments();
+      report.tcp_delivered += tcp->delivered();
+      report.tcp_retransmits += tcp->retransmits();
+      report.tcp_timeouts += tcp->timeouts();
+      report.tcp_reorder_timeouts += tcp->reorder_timeouts();
+      report.cc_echoes += tcp->echoes_received();
+      report.cc_backoffs += tcp->fb_backoffs();
     }
   }
   report.delivered = delivered();
@@ -1014,7 +1023,7 @@ ScenarioReport ScenarioRunner::finish() {
     report.invariant_audits = monitor_->audits();
     report.invariant_violations = monitor_->violations().size();
   }
-  report.decisions = decisions_;
+  report.decisions = std::move(decisions_);
   report.classes = merged_classes();
 
   for (const core::LinkId& link : ispn_.links()) {

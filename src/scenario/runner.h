@@ -49,6 +49,7 @@
 #include "sim/shard.h"
 #include "traffic/source.h"
 #include "traffic/tcp.h"
+#include "util/chunked_store.h"
 
 namespace ispn::scenario {
 
@@ -97,7 +98,8 @@ class ScenarioRunner {
     return n;
   }
 
-  /// Admission decisions so far (grows during the run).
+  /// Admission decisions so far (grows during the run; finish() moves
+  /// the log into the report, leaving this empty).
   [[nodiscard]] const std::vector<AdmissionDecision>& decisions() const {
     return decisions_;
   }
@@ -160,6 +162,27 @@ class ScenarioRunner {
     net::FlowSink* next_;
   };
 
+  /// Per-flow state that only some flows need: the transport pair of a
+  /// responsive (cc != off) datagram flow, and the restore bookkeeping of
+  /// a flow that degraded.  Allocated on first need (FlowRec::more()), so
+  /// an open-loop flow that never degrades carries one null pointer.
+  struct FlowExtra {
+    // The transport pair.  `tcp` aliases the record's `source` (owned
+    // there); the TcpSink lives on the destination host's domain clock
+    // and feeds ACKs back through `ack_sink`.
+    traffic::TcpSource* tcp = nullptr;
+    std::unique_ptr<traffic::TcpSink> tcp_sink;
+    std::optional<AckSink> ack_sink;
+    std::uint32_t ack_slot = 0;  ///< ACK sink's slot at the source host
+    int restore_attempts = 0;
+    sim::Duration restore_backoff = 0;
+    // Graceful-degradation restore state: the ORIGINAL FlowSpec is saved
+    // the first time the flow degrades (reroute_flow rewrites the live
+    // spec to datagram), so re-admission retries offer what the client
+    // asked for.  Backoff/attempts reset on every successful restore.
+    std::unique_ptr<core::FlowSpec> saved_spec;
+  };
+
   struct FlowRec {
     core::IspnNetwork::FlowHandle handle;
     std::unique_ptr<traffic::Source> source;
@@ -168,40 +191,38 @@ class ScenarioRunner {
     // ports' delivery prefetch does exactly that one transmission ahead —
     // then also warms this record, so at million-flow scale a delivery
     // costs one cold cache line instead of two.  FlowRec addresses are
-    // stable (flows_ is a deque, records are emplaced and never moved),
-    // so the self-referential sink is safe.
+    // stable (flows_ is a ChunkedStore: records are emplaced in place and
+    // never moved), so the self-referential sink is safe.
     std::optional<Sink> sink;
-    // Responsive (cc != off) datagram flows: the transport pair.  `tcp`
-    // aliases `source` (owned there); the TcpSink lives on the destination
-    // host's domain clock and feeds ACKs back through `ack_sink`.
-    traffic::TcpSource* tcp = nullptr;
-    std::unique_ptr<traffic::TcpSink> tcp_sink;
-    std::optional<AckSink> ack_sink;
-    std::uint32_t ack_slot = 0;  ///< ACK sink's slot at the source host
+    // Everything the sink touches per delivery, packed behind it.
     std::uint64_t delivered = 0;
     double max_delay = 0;
     double last_delay = 0;  ///< previous delivery's delay (jitter deltas)
     double max_delay_all = 0;
-    bool has_last = false;
     // Path-epoch segmentation: bumped on every reroute/degrade; the
     // source stamps it onto packets, so in-flight stragglers from the old
     // path never score against the new path's bound (max_delay resets per
     // epoch; max_delay_all spans the lifetime).
     std::uint16_t epoch = 0;
     std::uint16_t epochs_seen = 1;
+    bool has_last = false;
+    bool active = false;    ///< admitted and not yet closed
+    bool degraded = false;  ///< refused re-admission; carried as datagram
+    int reroutes = 0;       ///< successful re-admissions after path failures
     sim::Time opened = 0;
     sim::Time closed = -1;
     double bound = 0;
-    bool active = false;  ///< admitted and not yet closed
-    int reroutes = 0;     ///< successful re-admissions after path failures
-    bool degraded = false;  ///< refused re-admission; carried as datagram
-    // Graceful-degradation restore state: the ORIGINAL FlowSpec is saved
-    // the first time the flow degrades (reroute_flow rewrites the live
-    // spec to datagram), so re-admission retries offer what the client
-    // asked for.  Backoff/attempts reset on every successful restore.
-    std::unique_ptr<core::FlowSpec> saved_spec;
-    int restore_attempts = 0;
-    sim::Duration restore_backoff = 0;
+    std::unique_ptr<FlowExtra> extra;  ///< see FlowExtra; usually null
+
+    /// The side record, allocated on first use.
+    FlowExtra& more() {
+      if (!extra) extra = std::make_unique<FlowExtra>();
+      return *extra;
+    }
+    /// The transport source of a responsive flow, else nullptr.
+    [[nodiscard]] traffic::TcpSource* tcp() const {
+      return extra ? extra->tcp : nullptr;
+    }
   };
 
   void schedule_next_arrival();
@@ -295,7 +316,7 @@ class ScenarioRunner {
   sim::Duration arrival_deadline_ = 0;
   net::FlowId next_flow_ = 0;
   int open_count_ = 0;
-  std::deque<FlowRec> flows_;          ///< indexed by FlowId; stable refs
+  util::ChunkedStore<FlowRec> flows_;  ///< indexed by FlowId; stable refs
   std::vector<net::FlowId> active_;    ///< open order (preemption scans back)
   std::vector<AdmissionDecision> decisions_;
   /// One per domain (one total on the classic path); sized once in

@@ -486,102 +486,141 @@ std::string ScenarioSpec::describe() const {
   return out.str();
 }
 
+namespace {
+
+/// Every preset, in listing order; preset() applies a row to a default spec.
+constexpr SpecVariant kPresets[] = {
+    {"chain",
+     [](ScenarioSpec& spec) {
+       spec.fabric = FabricKind::kChain;
+       spec.chain_switches = 8;
+     }},
+    {"fan_in",
+     [](ScenarioSpec& spec) {
+       spec.fabric = FabricKind::kFanInTree;
+       spec.tree_depth = 2;
+       spec.tree_width = 4;
+       spec.target_flows = 16;
+       spec.arrival_rate = 4.0;
+     }},
+    {"parking_lot",
+     [](ScenarioSpec& spec) {
+       spec.fabric = FabricKind::kParkingLot;
+       spec.parking_hops = 4;
+       spec.target_flows = 24;
+     }},
+    {"churn",
+     [](ScenarioSpec& spec) {
+       // Admission churn: tight links under fast arrivals and departures,
+       // so the live ν̂/d̂ feed actually refuses (and with preemption,
+       // evicts).
+       spec.fabric = FabricKind::kChain;
+       spec.chain_switches = 6;
+       spec.arrival_rate = 10.0;
+       spec.mean_hold = 3.0;
+       spec.target_flows = 48;
+       spec.p_guaranteed = 0.35;
+       spec.p_predicted = 0.45;
+       spec.preempt_on_reject = true;
+       // Churn needs a ν̂ that decays when flows leave: the time-window
+       // peak estimator holds a departed flow's peak for a full window,
+       // starving admission of freed capacity.
+       spec.measurement_estimator = Estimator::kEwma;
+     }},
+    {"failure",
+     [](ScenarioSpec& spec) {
+       // Link failures on a mesh: every pair keeps an alternate path, so
+       // failures trigger rerouting + admission re-validation instead of
+       // partition.  The EWMA estimator decays the dead link's history.
+       spec.fabric = FabricKind::kMesh;
+       spec.mesh_rows = 3;
+       spec.mesh_cols = 3;
+       spec.arrival_rate = 6.0;
+       spec.mean_hold = 8.0;
+       spec.target_flows = 36;
+       spec.p_guaranteed = 0.3;
+       spec.p_predicted = 0.4;
+       spec.link_failure_rate = 0.04;
+       spec.link_repair_mean = 4.0;
+       spec.measurement_estimator = Estimator::kEwma;
+     }},
+    {"chaos",
+     [](ScenarioSpec& spec) {
+       // Everything at once: link failures with flapping, switch crashes,
+       // capacity brown-outs, transient loss — on a mesh (alternate paths
+       // everywhere), with the invariant monitor auditing continuously and
+       // degraded flows retrying re-admission under exponential backoff.
+       spec.fabric = FabricKind::kMesh;
+       spec.mesh_rows = 3;
+       spec.mesh_cols = 3;
+       spec.arrival_rate = 6.0;
+       spec.mean_hold = 8.0;
+       spec.target_flows = 36;
+       spec.p_guaranteed = 0.3;
+       spec.p_predicted = 0.4;
+       spec.link_failure_rate = 0.04;
+       spec.link_repair_mean = 3.0;
+       spec.flap_prob = 0.25;
+       spec.node_crash_rate = 0.01;
+       spec.node_repair_mean = 2.0;
+       spec.brownout_rate = 0.03;
+       spec.brownout_fraction = 0.5;
+       spec.brownout_mean = 2.0;
+       spec.loss_rate = 0.05;
+       spec.loss_prob = 0.02;
+       spec.loss_mean = 1.0;
+       spec.readmit_backoff = 0.5;
+       spec.invariant_cadence = 0.5;
+       spec.measurement_estimator = Estimator::kEwma;
+     }},
+};
+
+/// Every scale, in listing order.
+constexpr SpecVariant kScales[] = {
+    {"smoke",
+     [](ScenarioSpec& spec) {
+       spec.run_seconds = 1.0;
+       spec.drain_grace = 0.25;
+     }},
+    {"small",
+     [](ScenarioSpec& spec) {
+       spec.run_seconds = 6.0;
+       spec.drain_grace = 0.5;
+     }},
+    {"large",
+     [](ScenarioSpec& spec) {
+       // Million-packet class: 10x links, 10x source rates, longer run.
+       spec.link_rate *= 10.0;
+       spec.avg_rate_pps *= 10.0;
+       spec.target_flows = std::max(spec.target_flows, 48);
+       spec.run_seconds = 120.0;
+     }},
+};
+
+/// The row of `table` named `name`; throws naming `what` when absent.
+const SpecVariant& find_variant(std::span<const SpecVariant> table,
+                                const std::string& name, const char* what) {
+  for (const SpecVariant& v : table) {
+    if (name == v.name) return v;
+  }
+  throw std::invalid_argument(std::string("unknown scenario ") + what +
+                              " '" + name + "'");
+}
+
+}  // namespace
+
+std::span<const SpecVariant> presets() { return kPresets; }
+std::span<const SpecVariant> scales() { return kScales; }
+
 ScenarioSpec preset(const std::string& name) {
   ScenarioSpec spec;
-  if (name == "chain") {
-    spec.fabric = FabricKind::kChain;
-    spec.chain_switches = 8;
-  } else if (name == "fan_in") {
-    spec.fabric = FabricKind::kFanInTree;
-    spec.tree_depth = 2;
-    spec.tree_width = 4;
-    spec.target_flows = 16;
-    spec.arrival_rate = 4.0;
-  } else if (name == "parking_lot") {
-    spec.fabric = FabricKind::kParkingLot;
-    spec.parking_hops = 4;
-    spec.target_flows = 24;
-  } else if (name == "churn") {
-    // Admission churn: tight links under fast arrivals and departures, so
-    // the live ν̂/d̂ feed actually refuses (and with preemption, evicts).
-    spec.fabric = FabricKind::kChain;
-    spec.chain_switches = 6;
-    spec.arrival_rate = 10.0;
-    spec.mean_hold = 3.0;
-    spec.target_flows = 48;
-    spec.p_guaranteed = 0.35;
-    spec.p_predicted = 0.45;
-    spec.preempt_on_reject = true;
-    // Churn needs a ν̂ that decays when flows leave: the time-window peak
-    // estimator holds a departed flow's peak for a full window, starving
-    // admission of freed capacity.
-    spec.measurement_estimator = core::LinkMeasurement::Estimator::kEwma;
-  } else if (name == "failure") {
-    // Link failures on a mesh: every pair keeps an alternate path, so
-    // failures trigger rerouting + admission re-validation instead of
-    // partition.  The EWMA estimator decays the dead link's history.
-    spec.fabric = FabricKind::kMesh;
-    spec.mesh_rows = 3;
-    spec.mesh_cols = 3;
-    spec.arrival_rate = 6.0;
-    spec.mean_hold = 8.0;
-    spec.target_flows = 36;
-    spec.p_guaranteed = 0.3;
-    spec.p_predicted = 0.4;
-    spec.link_failure_rate = 0.04;
-    spec.link_repair_mean = 4.0;
-    spec.measurement_estimator = core::LinkMeasurement::Estimator::kEwma;
-  } else if (name == "chaos") {
-    // Everything at once: link failures with flapping, switch crashes,
-    // capacity brown-outs, transient loss — on a mesh (alternate paths
-    // everywhere), with the invariant monitor auditing continuously and
-    // degraded flows retrying re-admission under exponential backoff.
-    spec.fabric = FabricKind::kMesh;
-    spec.mesh_rows = 3;
-    spec.mesh_cols = 3;
-    spec.arrival_rate = 6.0;
-    spec.mean_hold = 8.0;
-    spec.target_flows = 36;
-    spec.p_guaranteed = 0.3;
-    spec.p_predicted = 0.4;
-    spec.link_failure_rate = 0.04;
-    spec.link_repair_mean = 3.0;
-    spec.flap_prob = 0.25;
-    spec.node_crash_rate = 0.01;
-    spec.node_repair_mean = 2.0;
-    spec.brownout_rate = 0.03;
-    spec.brownout_fraction = 0.5;
-    spec.brownout_mean = 2.0;
-    spec.loss_rate = 0.05;
-    spec.loss_prob = 0.02;
-    spec.loss_mean = 1.0;
-    spec.readmit_backoff = 0.5;
-    spec.invariant_cadence = 0.5;
-    spec.measurement_estimator = core::LinkMeasurement::Estimator::kEwma;
-  } else {
-    throw std::invalid_argument("unknown scenario preset '" + name + "'");
-  }
+  find_variant(kPresets, name, "preset").apply(spec);
   return spec;
 }
 
 void apply_scale(ScenarioSpec& spec, const std::string& scale) {
-  if (scale == "smoke") {
-    spec.run_seconds = 1.0;
-    spec.drain_grace = 0.25;
-  } else if (scale == "small") {
-    spec.run_seconds = 6.0;
-    spec.drain_grace = 0.5;
-  } else if (scale == "large") {
-    // Million-packet class: 10x links, 10x source rates, longer run.
-    spec.link_rate *= 10.0;
-    spec.avg_rate_pps *= 10.0;
-    spec.target_flows = std::max(spec.target_flows, 48);
-    spec.run_seconds = 120.0;
-  } else {
-    throw std::invalid_argument("unknown scenario scale '" + scale + "'");
-  }
+  find_variant(kScales, scale, "scale").apply(spec);
 }
-
 
 void apply_override(ScenarioSpec& spec, const std::string& key,
                     const std::string& value) {

@@ -254,17 +254,32 @@ struct ConfigKey {
 /// "scale", then the fields in declaration order.
 [[nodiscard]] std::span<const ConfigKey> config_keys();
 
-/// Named presets: "chain", "fan_in", "parking_lot", "churn" (an
-/// admission-churn chain: fast arrivals/departures against tight links),
-/// "failure" (a mesh under seeded link failures and repairs with the EWMA
-/// estimator, exercising rerouting and admission re-validation), "chaos"
-/// (a mesh under ALL fault families — crashes, brown-outs, loss, flapping
-/// — with the invariant monitor and re-admission backoff on).
-/// Throws std::invalid_argument on unknown names.
+/// A named edit of a spec: a preset (applied to a default spec) or a
+/// scale (applied on top of one).
+struct SpecVariant {
+  const char* name;
+  void (*apply)(ScenarioSpec& spec);
+};
+
+/// Every preset preset() accepts, in listing order: "chain", "fan_in",
+/// "parking_lot", "churn" (an admission-churn chain: fast
+/// arrivals/departures against tight links), "failure" (a mesh under
+/// seeded link failures and repairs with the EWMA estimator, exercising
+/// rerouting and admission re-validation), "chaos" (a mesh under ALL fault
+/// families — crashes, brown-outs, loss, flapping — with the invariant
+/// monitor and re-admission backoff on).
+[[nodiscard]] std::span<const SpecVariant> presets();
+
+/// Every scale apply_scale() accepts: "smoke" (sub-second), "small" (a
+/// few seconds, the golden-trace size), "large" (million-packet class).
+[[nodiscard]] std::span<const SpecVariant> scales();
+
+/// The named preset (see presets()).  Throws std::invalid_argument on
+/// unknown names.
 [[nodiscard]] ScenarioSpec preset(const std::string& name);
 
-/// Scales a preset: "smoke" (sub-second), "small" (a few seconds, the
-/// golden-trace size), "large" (million-packet class).
+/// Applies the named scale (see scales()) to a spec.  Throws
+/// std::invalid_argument on unknown names.
 void apply_scale(ScenarioSpec& spec, const std::string& scale);
 
 /// Parses a flat JSON-ish object ({"key": value, ...}; keys may be bare,

@@ -33,10 +33,15 @@ class P2Quantile {
 
   double q_;
   std::uint64_t n_ = 0;
-  std::array<double, 5> heights_{};   // marker values
-  std::array<double, 5> positions_{}; // actual marker positions (1-based)
-  std::array<double, 5> desired_{};   // desired positions
-  std::array<double, 5> increments_{};
+  std::array<double, 5> heights_{};          // marker values
+  // Actual marker positions (1-based).  They only ever move by whole
+  // steps, so they are integers, converted to double inside the formulas
+  // (exactly: positions stay far below 2^53).
+  std::array<std::int64_t, 5> positions_{};
+  // Desired positions and their per-sample increments, middle markers
+  // 1..3 only: the end markers' desired positions are never read.
+  std::array<double, 3> desired_{};
+  std::array<double, 3> increments_{};
 };
 
 }  // namespace ispn::stats

@@ -9,6 +9,7 @@
 #pragma once
 
 #include <functional>
+#include <memory>
 #include <optional>
 
 #include "net/flow.h"
@@ -59,9 +60,11 @@ class Source {
 
   /// §10 drop preference: marks packet `seq` as less important when the
   /// predicate returns true (e.g. every other packet for a layered codec).
+  /// Only the layered-codec experiments set one, so it is kept out of line.
   using ImportanceMarker = std::function<bool(std::uint64_t seq)>;
   void set_importance_marker(ImportanceMarker marker) {
-    marker_ = std::move(marker);
+    marker_ = marker ? std::make_unique<ImportanceMarker>(std::move(marker))
+                     : nullptr;
   }
 
   /// Draws packet storage from `pool` instead of the process-wide default
@@ -95,7 +98,7 @@ class Source {
     p->service = service_;
     p->priority = priority_;
     p->path_epoch = epoch_;
-    if (marker_) p->less_important = marker_(seq);
+    if (marker_) p->less_important = (*marker_)(seq);
     if (stats_ != nullptr) ++stats_->injected;
     emit_(std::move(p));
     return true;
@@ -123,7 +126,7 @@ class Source {
   net::ServiceClass service_ = net::ServiceClass::kDatagram;
   std::uint8_t priority_ = 0;
   std::uint16_t epoch_ = 0;
-  ImportanceMarker marker_;
+  std::unique_ptr<ImportanceMarker> marker_;  // null: no preference
   std::uint64_t seq_ = 0;
 };
 

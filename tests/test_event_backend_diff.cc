@@ -169,7 +169,7 @@ struct NetTrace {
   std::vector<double> stats;
 };
 
-void flatten_stats(const std::map<net::FlowId, net::FlowStats>& all,
+void flatten_stats(const net::FlowStatsTable& all,
                    std::vector<double>* out) {
   for (const auto& [flow, st] : all) {
     out->push_back(static_cast<double>(flow));

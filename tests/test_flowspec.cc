@@ -55,6 +55,19 @@ TEST(FlowSpec, PredictedNeedsBucketAndTargets) {
   EXPECT_FALSE(s.valid());
 }
 
+TEST(FlowSpec, PredictedLossIsAFraction) {
+  // L is a loss fraction: [0, 1], the same range the scenario key takes.
+  auto s = predicted_spec();
+  for (const double loss : {0.0, 0.5, 1.0}) {
+    s.predicted->target_loss = loss;
+    EXPECT_TRUE(s.valid()) << "L=" << loss;
+  }
+  for (const double loss : {-0.01, 1.5}) {
+    s.predicted->target_loss = loss;
+    EXPECT_FALSE(s.valid()) << "L=" << loss;
+  }
+}
+
 TEST(FlowSpec, DatagramRejectsVariantFields) {
   FlowSpec s;
   s.service = net::ServiceClass::kDatagram;

@@ -22,18 +22,37 @@
 //   conservation  the packet ledger closes exactly at this scale;
 //
 //   completion    the run finishes in bounded wall time (enforced by the
-//                 ctest timeout) and actually moves ~1M+ packets.
+//                 ctest timeout) and actually moves ~1M+ packets;
+//
+//   footprint     the peak resident set grows by at most kBytesPerFlow
+//                 per flow from before the runner is built to after
+//                 finish(): per-flow records must stay small and flat.
 //
 // Excluded with -LE "soak|scale" in sanitizer CI: the point is scale, and
 // instrumented allocators would only slow it without adding coverage.
 
 #include <gtest/gtest.h>
+#include <sys/resource.h>
+
+#include <cstdio>
 
 #include "alloc_hook.h"
 #include "scenario/runner.h"
 
 namespace ispn {
 namespace {
+
+/// Peak resident set so far, in bytes.
+std::uint64_t peak_rss_bytes() {
+  rusage ru{};
+  getrusage(RUSAGE_SELF, &ru);
+  return static_cast<std::uint64_t>(ru.ru_maxrss) * 1024;  // KiB on Linux
+}
+
+/// Footprint budget: the measured peak growth, 1077 bytes per flow (GCC 12
+/// Release, x86-64, glibc), plus 10% headroom.  Per-record mallocs (a
+/// deque node per flow record, a map node per FlowStats) measured 1467.
+constexpr double kBytesPerFlow = 1185;
 
 TEST(ScaleMillionFlows, FanInSteadyStateAllocationFree) {
   constexpr int kFlows = 1 << 20;  // 1048576
@@ -58,6 +77,7 @@ TEST(ScaleMillionFlows, FanInSteadyStateAllocationFree) {
   spec.run_seconds = 6.0;
   spec.seed = 23;
 
+  const std::uint64_t rss_before = peak_rss_bytes();
   scenario::ScenarioRunner runner(spec);
   runner.prepare();
 
@@ -77,6 +97,11 @@ TEST(ScaleMillionFlows, FanInSteadyStateAllocationFree) {
   });
 
   const scenario::ScenarioReport report = runner.run();
+  const double bytes_per_flow =
+      static_cast<double>(peak_rss_bytes() - rss_before) / kFlows;
+  std::printf("peak RSS growth: %.0f bytes per flow\n", bytes_per_flow);
+  EXPECT_LE(bytes_per_flow, kBytesPerFlow)
+      << "per-flow state outgrew its footprint budget";
 
   EXPECT_EQ(steady_allocs, 0u)
       << "steady-state phase allocated with a million live flows";

@@ -92,6 +92,29 @@ TEST(ScenarioConfig, SeedRejectsOutOfRangeBeforeTheCast) {
   EXPECT_EQ(spec.seed, 9007199254740992ull);
 }
 
+TEST(ScenarioConfig, EveryListedPresetAndScaleParses) {
+  // scenario_run --list prints these tables; every name on it must be
+  // accepted by preset()/apply_scale() and by the "preset"/"scale" keys,
+  // and give a spec that validates.
+  ASSERT_FALSE(scenario::presets().empty());
+  ASSERT_FALSE(scenario::scales().empty());
+  for (const scenario::SpecVariant& p : scenario::presets()) {
+    EXPECT_NO_THROW(scenario::preset(p.name).validate()) << p.name;
+    for (const scenario::SpecVariant& s : scenario::scales()) {
+      scenario::ScenarioSpec spec;
+      EXPECT_NO_THROW(scenario::apply_override(spec, "preset", p.name));
+      EXPECT_NO_THROW(scenario::apply_override(spec, "scale", s.name));
+      EXPECT_NO_THROW(spec.validate()) << p.name << " at " << s.name;
+      scenario::ScenarioSpec direct = scenario::preset(p.name);
+      scenario::apply_scale(direct, s.name);
+      EXPECT_EQ(direct.describe(), spec.describe()) << p.name << "/" << s.name;
+    }
+  }
+  EXPECT_THROW((void)scenario::preset("no_such_preset"), std::invalid_argument);
+  scenario::ScenarioSpec spec;
+  EXPECT_THROW(scenario::apply_scale(spec, "huge"), std::invalid_argument);
+}
+
 TEST(ScenarioConfig, EnumKeysRejectUnknownValues) {
   must_throw("fabric", "torus");
   must_throw("source", "pareto");

@@ -8,9 +8,11 @@
 // conservation) must be identical to what contiguous ids produce.
 
 #include <gtest/gtest.h>
+#include <sys/resource.h>
 
 #include <vector>
 
+#include "net/network.h"
 #include "net/packet_pool.h"
 #include "sched/unified.h"
 #include "sched/virtual_clock.h"
@@ -156,6 +158,46 @@ TEST(SparseFlowIds, NoStructureScalesWithMaxId) {
   EXPECT_LE(wfq.flow_slots(), 2u);
   EXPECT_LE(uni.guaranteed_slots(), 2u);
   EXPECT_LE(uni.predicted_slots(), 2u);
+}
+
+/// Peak resident set so far, in bytes.
+std::uint64_t peak_rss_bytes() {
+  rusage ru{};
+  getrusage(RUSAGE_SELF, &ru);
+  return static_cast<std::uint64_t>(ru.ru_maxrss) * 1024;  // KiB on Linux
+}
+
+// The network's per-flow statistics table: ids {3, 2^30} cost two records,
+// iterate in ascending id whatever the creation order, and keep their
+// addresses (sources hold FlowStats pointers).
+TEST(SparseFlowIds, FlowStatsTableScalesWithFlowsSeen) {
+  constexpr net::FlowId kHuge = net::FlowId{1} << 30;
+  const std::uint64_t rss_before = peak_rss_bytes();
+  net::Network net;
+  net::FlowStats* huge = &net.stats(kHuge);  // the larger id first
+  huge->received = 2;
+  net.stats(3).received = 1;
+  EXPECT_EQ(net.all_stats().size(), 2u);
+  EXPECT_EQ(&net.stats(kHuge), huge);
+
+  std::vector<net::FlowId> ids;
+  for (const auto& [flow, st] : net.all_stats()) {
+    ids.push_back(flow);
+    EXPECT_EQ(st.received, flow == 3 ? 1u : 2u);
+  }
+  EXPECT_EQ(ids, (std::vector<net::FlowId>{3, kHuge}));
+
+  // Records created after an iteration join the order too.
+  net.stats(70000).received = 3;
+  net.stats(1).received = 4;
+  ids.clear();
+  for (const auto& [flow, st] : net.all_stats()) ids.push_back(flow);
+  EXPECT_EQ(ids, (std::vector<net::FlowId>{1, 3, 70000, kHuge}));
+  EXPECT_EQ(&net.stats(kHuge), huge);
+
+  // Anything indexed by the raw id would need 2^30 entries: gigabytes.
+  EXPECT_LT(peak_rss_bytes() - rss_before, std::uint64_t{64} << 20)
+      << "a flow-stats structure grew with the largest FlowId";
 }
 
 }  // namespace

@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
+#include <utility>
 #include <vector>
 
 #include "sim/random.h"
@@ -109,6 +111,83 @@ TEST(SampleSeries, EmptyReturnsZero) {
   SampleSeries s;
   EXPECT_DOUBLE_EQ(s.percentile(0.5), 0.0);
   EXPECT_DOUBLE_EQ(s.mean(), 0.0);
+}
+
+/// An empty series answers every query exactly as an empty OnlineStats.
+void expect_empty(const SampleSeries& s, const char* what) {
+  EXPECT_TRUE(s.empty()) << what;
+  EXPECT_EQ(s.count(), 0u) << what;
+  EXPECT_TRUE(s.samples().empty()) << what;
+  EXPECT_EQ(s.summary().count(), 0u) << what;
+  EXPECT_EQ(s.mean(), 0.0) << what;
+  EXPECT_EQ(s.stddev(), 0.0) << what;
+  EXPECT_EQ(s.min(), std::numeric_limits<double>::infinity()) << what;
+  EXPECT_EQ(s.max(), -std::numeric_limits<double>::infinity()) << what;
+  EXPECT_EQ(s.percentile(0.0), 0.0) << what;
+  EXPECT_EQ(s.percentile(1.0), 0.0) << what;
+  EXPECT_EQ(s.p999(), 0.0) << what;
+}
+
+TEST(SampleSeries, EmptyAnswersLikeAnEmptySummary) {
+  expect_empty(SampleSeries{}, "default");
+  expect_empty(SampleSeries{64}, "reserving constructor");
+  const SampleSeries copy{SampleSeries{}};
+  expect_empty(copy, "copy of empty");
+}
+
+TEST(SampleSeries, ReservingConstructorRecordsNormally) {
+  SampleSeries s(4);
+  for (const double x : {3.0, 1.0, 2.0, 5.0, 4.0}) s.add(x);  // past reserve
+  EXPECT_EQ(s.count(), 5u);
+  EXPECT_DOUBLE_EQ(s.percentile(0.5), 3.0);
+  EXPECT_DOUBLE_EQ(s.min(), 1.0);
+  EXPECT_DOUBLE_EQ(s.max(), 5.0);
+  EXPECT_EQ(s.samples(), (std::vector<double>{3.0, 1.0, 2.0, 5.0, 4.0}));
+}
+
+TEST(SampleSeries, CopyIsDeepAndMoveTransfers) {
+  SampleSeries a;
+  for (const double x : {2.0, 4.0, 6.0}) a.add(x);
+  EXPECT_DOUBLE_EQ(a.percentile(1.0), 6.0);  // builds the sorted cache
+
+  SampleSeries b = a;
+  b.add(10.0);
+  EXPECT_EQ(a.count(), 3u);  // the copy owns its own samples
+  EXPECT_DOUBLE_EQ(a.percentile(1.0), 6.0);
+  EXPECT_DOUBLE_EQ(b.percentile(1.0), 10.0);
+  EXPECT_DOUBLE_EQ(b.mean(), 5.5);
+
+  SampleSeries c;
+  c = a;
+  EXPECT_EQ(c.samples(), a.samples());
+  c = SampleSeries{};  // assigning an empty series empties it
+  expect_empty(c, "assigned empty");
+  c = a;
+  const SampleSeries& self = c;
+  c = self;  // self-assignment keeps the samples
+  EXPECT_EQ(c.count(), 3u);
+
+  SampleSeries d = std::move(b);
+  EXPECT_EQ(d.count(), 4u);
+  EXPECT_DOUBLE_EQ(d.max(), 10.0);
+  SampleSeries e;
+  e = std::move(d);
+  EXPECT_EQ(e.count(), 4u);
+  EXPECT_DOUBLE_EQ(e.percentile(0.5), 4.0);
+}
+
+TEST(SampleSeries, ResetEmptiesAndRecordsAgain) {
+  SampleSeries s;
+  s.reset();  // never-used series
+  expect_empty(s, "reset before use");
+  for (const double x : {7.0, 8.0}) s.add(x);
+  EXPECT_DOUBLE_EQ(s.percentile(1.0), 8.0);
+  s.reset();
+  expect_empty(s, "reset after use");
+  s.add(1.5);
+  EXPECT_EQ(s.count(), 1u);
+  EXPECT_DOUBLE_EQ(s.percentile(0.5), 1.5);
+  EXPECT_DOUBLE_EQ(s.min(), 1.5);
 }
 
 TEST(SampleSeries, MeanMatchesSummary) {

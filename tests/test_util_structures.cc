@@ -12,6 +12,7 @@
 
 #include "sim/inline_action.h"
 #include "util/calendar_queue.h"
+#include "util/chunked_store.h"
 #include "util/dary_heap.h"
 #include "util/indexed_heap.h"
 #include "util/ring.h"
@@ -375,6 +376,38 @@ TEST(InlineAction, MoveAssignmentReleasesPreviousCallable) {
   a = sim::InlineAction([] {});
   EXPECT_TRUE(watch.expired());
   a();  // still callable
+}
+
+/// Counts live instances, so the store's destructor can be checked.
+struct Tracked {
+  explicit Tracked(int v, int* live) : value(v), live(live) { ++*live; }
+  Tracked(const Tracked&) = delete;
+  Tracked& operator=(const Tracked&) = delete;
+  ~Tracked() { --*live; }
+  int value;
+  int* live;
+};
+
+TEST(ChunkedStore, AddressesStayPutAcrossChunks) {
+  int live = 0;
+  {
+    util::ChunkedStore<Tracked, 8> store;
+    std::vector<const Tracked*> addr;
+    for (int i = 0; i < 100; ++i) {  // 13 chunks
+      addr.push_back(&store.emplace_back(i, &live));
+    }
+    EXPECT_EQ(store.size(), 100u);
+    EXPECT_EQ(live, 100);
+    int expect = 0;
+    for (Tracked& t : store) {  // insertion order
+      EXPECT_EQ(t.value, expect);
+      EXPECT_EQ(&t, addr[static_cast<std::size_t>(expect)]);
+      ++expect;
+    }
+    EXPECT_EQ(expect, 100);
+    EXPECT_EQ(&store[37], addr[37]);
+  }
+  EXPECT_EQ(live, 0);  // every element destroyed exactly once
 }
 
 }  // namespace

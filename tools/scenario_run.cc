@@ -56,9 +56,11 @@ int main(int argc, char** argv) {
     for (int i = 1; i < argc; ++i) {
       const std::string arg = argv[i];
       if (arg == "--list") {
-        std::printf("presets: chain fan_in parking_lot churn failure chaos\n");
-        std::printf("scales:  smoke small large\n");
-        std::printf("keys:   ");
+        std::printf("presets:");
+        for (const auto& p : scenario::presets()) std::printf(" %s", p.name);
+        std::printf("\nscales: ");
+        for (const auto& s : scenario::scales()) std::printf(" %s", s.name);
+        std::printf("\nkeys:   ");
         for (const auto& key : scenario::config_keys()) {
           std::printf(" %s", key.name);
         }
