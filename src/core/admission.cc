@@ -18,6 +18,14 @@ void AdmissionController::register_link(LinkId link, sim::Rate rate,
   it->second.measurement = measurement;
 }
 
+int cheapest_class(const std::vector<sim::Duration>& targets,
+                   sim::Duration per_hop) {
+  for (int j = static_cast<int>(targets.size()) - 1; j >= 0; --j) {
+    if (targets[static_cast<std::size_t>(j)] <= per_hop) return j;
+  }
+  return -1;
+}
+
 double AdmissionController::utilization(LinkState& link, sim::Time now) const {
   if (config_.mode == Mode::kMeasurementBased && link.measurement != nullptr) {
     // The paper: use measurement for existing traffic, but never less than
@@ -128,15 +136,7 @@ ServiceCommitment AdmissionController::request(const FlowSpec& spec,
   for (std::size_t hop = 0; hop < path.size(); ++hop) {
     const LinkId& id = path[hop];
     LinkState& link = links_.at(id);
-    int chosen = -1;
-    for (int j = static_cast<int>(link.class_targets.size()) - 1; j >= 0;
-         --j) {
-      if (link.class_targets[static_cast<std::size_t>(j)] <=
-          per_hop_target) {
-        chosen = j;
-        break;
-      }
-    }
+    const int chosen = cheapest_class(link.class_targets, per_hop_target);
     if (chosen < 0) {
       std::ostringstream out;
       out << "no class tight enough on link (" << id.first << "->"
@@ -168,8 +168,7 @@ ServiceCommitment AdmissionController::request(const FlowSpec& spec,
   return commitment;
 }
 
-bool AdmissionController::release(const FlowSpec& spec,
-                                  const std::vector<LinkId>& /*path*/) {
+bool AdmissionController::release(const FlowSpec& spec) {
   if (spec.service == net::ServiceClass::kDatagram) return false;
   const auto it = committed_.find(spec.flow);
   if (it == committed_.end()) return false;  // already released, or never held

@@ -32,6 +32,11 @@ namespace ispn::core {
 /// A directed link (from, to).
 using LinkId = std::pair<net::NodeId, net::NodeId>;
 
+/// The cheapest (lowest-priority) class whose per-hop target D_j is within
+/// `per_hop`, given ascending `targets`; -1 when even class 0 misses it.
+[[nodiscard]] int cheapest_class(const std::vector<sim::Duration>& targets,
+                                 sim::Duration per_hop);
+
 class AdmissionController {
  public:
   enum class Mode {
@@ -66,9 +71,8 @@ class AdmissionController {
   /// after the flow already moved or was torn down) subtracts the right
   /// amounts from the right links exactly once.  Returns false — and
   /// touches nothing — when the flow holds no commitment (never admitted,
-  /// datagram, or already released); `path` is accepted for call-site
-  /// symmetry but the stored path is authoritative.
-  bool release(const FlowSpec& spec, const std::vector<LinkId>& path);
+  /// datagram, or already released).
+  bool release(const FlowSpec& spec);
 
   /// True while `flow` holds a committed reservation.
   [[nodiscard]] bool committed(net::FlowId flow) const {

@@ -27,7 +27,6 @@ net::LinkSchedulerFactory IspnNetwork::qos_link_factory() {
         config_.measurement_window, config_.measurement_safety,
         config_.measurement_estimator, config_.measurement_ewma_gain});
     LinkMeasurement* meas = measurement.get();
-    measurements_[link] = std::move(measurement);
 
     sched::UnifiedScheduler::Config sched_config{
         rate, config_.buffer_pkts,
@@ -46,9 +45,11 @@ net::LinkSchedulerFactory IspnNetwork::qos_link_factory() {
         [meas](int klass, sim::Duration wait, sim::Time now) {
           meas->on_class_wait(klass, wait, now);
         });
-    schedulers_[link] = scheduler.get();
+    Link& state = links_[link];
+    state.scheduler = scheduler.get();
+    state.measurement = std::move(measurement);
+    state.base_rate = rate;
     link_order_.push_back(link);
-    link_rates_[link] = rate;
 
     admission_.register_link(link, rate, config_.class_targets, meas);
     return scheduler;
@@ -61,8 +62,9 @@ void IspnNetwork::instrument_links() {
   // runs as a second pass over everything registered since the last call.
   for (; instrumented_upto_ < link_order_.size(); ++instrumented_upto_) {
     const LinkId link = link_order_[instrumented_upto_];
-    LinkMeasurement* meas = measurements_.at(link).get();
-    sim::Bits* total = &realtime_bits_[link];
+    Link& state = links_.at(link);
+    LinkMeasurement* meas = state.measurement.get();
+    sim::Bits* total = &state.realtime_bits;
     net::Port* port = net_.port(link.first, link.second);
     assert(port != nullptr && "instrument_links before the link's port exists");
     port->add_tx_hook([meas, total](const net::Packet& p, sim::Time now) {
@@ -75,10 +77,8 @@ void IspnNetwork::instrument_links() {
 }
 
 net::ChainTopology IspnNetwork::build_chain(int num_switches) {
-  auto topo =
-      net::build_chain(net_, num_switches, config_.link_rate, qos_link_factory());
-  instrument_links();
-  return topo;
+  return instrumented(net::build_chain(net_, num_switches, config_.link_rate,
+                                       qos_link_factory()));
 }
 
 net::FanTreeTopology IspnNetwork::build_fan_tree(
@@ -86,10 +86,8 @@ net::FanTreeTopology IspnNetwork::build_fan_tree(
   if (level_rates.empty()) {
     level_rates.assign(static_cast<std::size_t>(depth - 1), config_.link_rate);
   }
-  auto topo =
-      net::build_fan_tree(net_, depth, width, level_rates, qos_link_factory());
-  instrument_links();
-  return topo;
+  return instrumented(
+      net::build_fan_tree(net_, depth, width, level_rates, qos_link_factory()));
 }
 
 net::ParkingLotTopology IspnNetwork::build_parking_lot(
@@ -97,30 +95,23 @@ net::ParkingLotTopology IspnNetwork::build_parking_lot(
   if (hop_rates.empty()) {
     hop_rates.assign(static_cast<std::size_t>(num_hops), config_.link_rate);
   }
-  auto topo = net::build_parking_lot(net_, hop_rates, qos_link_factory());
-  instrument_links();
-  return topo;
+  return instrumented(
+      net::build_parking_lot(net_, hop_rates, qos_link_factory()));
 }
 
 net::MeshTopology IspnNetwork::build_mesh(int rows, int cols) {
-  auto topo =
-      net::build_mesh(net_, rows, cols, config_.link_rate, qos_link_factory());
-  instrument_links();
-  return topo;
+  return instrumented(
+      net::build_mesh(net_, rows, cols, config_.link_rate, qos_link_factory()));
 }
 
 net::RingTopology IspnNetwork::build_ring(int num_switches) {
-  auto topo =
-      net::build_ring(net_, num_switches, config_.link_rate, qos_link_factory());
-  instrument_links();
-  return topo;
+  return instrumented(net::build_ring(net_, num_switches, config_.link_rate,
+                                      qos_link_factory()));
 }
 
 net::ClosTopology IspnNetwork::build_clos(int spines, int leaves) {
-  auto topo =
-      net::build_clos(net_, spines, leaves, config_.link_rate, qos_link_factory());
-  instrument_links();
-  return topo;
+  return instrumented(net::build_clos(net_, spines, leaves, config_.link_rate,
+                                      qos_link_factory()));
 }
 
 std::vector<LinkId> IspnNetwork::route_links(net::NodeId src,
@@ -136,55 +127,65 @@ std::vector<LinkId> IspnNetwork::route_links(net::NodeId src,
   links.reserve(hops);
   for (net::NodeId v = dst; v != src; v = parent(v)) {
     // Only inter-switch links queue; host attachments are infinitely fast.
-    if (schedulers_.contains({parent(v), v})) links.emplace_back(parent(v), v);
+    if (links_.contains({parent(v), v})) links.emplace_back(parent(v), v);
   }
   std::reverse(links.begin(), links.end());
   return links;
-}
-
-void IspnNetwork::index_add(const LinkId& link, net::FlowId flow) {
-  auto& flows = link_flows_[link];
-  if (std::find(flows.begin(), flows.end(), flow) == flows.end()) {
-    flows.push_back(flow);
-  }
-}
-
-void IspnNetwork::index_remove(const LinkId& link, net::FlowId flow) {
-  auto it = link_flows_.find(link);
-  if (it == link_flows_.end()) return;
-  auto& flows = it->second;
-  flows.erase(std::remove(flows.begin(), flows.end(), flow), flows.end());
 }
 
 std::vector<net::FlowId> IspnNetwork::flows_crossing(net::NodeId a,
                                                      net::NodeId b) const {
   std::vector<net::FlowId> out;
   for (const LinkId& dir : {LinkId{a, b}, LinkId{b, a}}) {
-    auto it = link_flows_.find(dir);
-    if (it == link_flows_.end()) continue;
-    out.insert(out.end(), it->second.begin(), it->second.end());
+    auto it = links_.find(dir);
+    if (it == links_.end()) continue;
+    out.insert(out.end(), it->second.flows.begin(), it->second.flows.end());
   }
   std::sort(out.begin(), out.end());
   out.erase(std::unique(out.begin(), out.end()), out.end());
   return out;
 }
 
+void IspnNetwork::register_hop(const LinkId& link, const FlowSpec& spec,
+                               int priority) {
+  Link& state = links_.at(link);
+  const bool held = std::find(state.flows.begin(), state.flows.end(),
+                              spec.flow) != state.flows.end();
+  if (spec.service == net::ServiceClass::kPredicted) {
+    state.scheduler->set_predicted_priority(spec.flow, priority);
+  } else if (!held) {
+    state.scheduler->add_guaranteed(spec.flow, spec.guaranteed->clock_rate);
+  }
+  if (!held) state.flows.push_back(spec.flow);
+}
+
+void IspnNetwork::deregister_hop(const LinkId& link, const FlowSpec& spec,
+                                 bool expel) {
+  Link& state = links_.at(link);
+  if (spec.service == net::ServiceClass::kPredicted) {
+    state.scheduler->remove_predicted(spec.flow);
+  } else if (expel) {
+    // Guaranteed packets still queued here are casualties of the path
+    // change: they would otherwise pin a WFQ registration whose clock rate
+    // is being handed back.
+    state.scheduler->expel_guaranteed(
+        spec.flow, net_.sim().now(),
+        [this, flow = spec.flow](net::PacketPtr, sim::Time) {
+          ++net_.stats(flow).failed_link_drops;
+        });
+  } else {
+    state.scheduler->remove_guaranteed(spec.flow);
+  }
+  std::erase(state.flows, spec.flow);
+}
+
 void IspnNetwork::configure_flow(const FlowHandle& handle) {
-  const FlowSpec& spec = handle.spec;
-  if (spec.service == net::ServiceClass::kGuaranteed) {
-    for (const LinkId& link : handle.links) {
-      schedulers_.at(link)->add_guaranteed(spec.flow,
-                                           spec.guaranteed->clock_rate);
-      index_add(link, spec.flow);
-    }
-  } else if (spec.service == net::ServiceClass::kPredicted) {
-    assert(handle.commitment.priority_per_hop.size() == handle.links.size());
-    for (std::size_t i = 0; i < handle.links.size(); ++i) {
-      schedulers_.at(handle.links[i])
-          ->set_predicted_priority(spec.flow,
-                                   handle.commitment.priority_per_hop[i]);
-      index_add(handle.links[i], spec.flow);
-    }
+  if (handle.spec.service == net::ServiceClass::kDatagram) return;
+  const std::vector<int>& levels = handle.commitment.priority_per_hop;
+  assert(handle.spec.service == net::ServiceClass::kGuaranteed ||
+         levels.size() == handle.links.size());
+  for (std::size_t i = 0; i < handle.links.size(); ++i) {
+    register_hop(handle.links[i], handle.spec, levels.empty() ? 0 : levels[i]);
   }
 }
 
@@ -209,46 +210,27 @@ IspnNetwork::FlowHandle IspnNetwork::try_open_flow(const FlowSpec& spec) {
 }
 
 IspnNetwork::FlowHandle IspnNetwork::open_flow(const FlowSpec& spec) {
-  assert(spec.valid());
-  FlowHandle handle;
-  handle.spec = spec;
-  // As in try_open_flow: a partitioned destination has no path, and not
-  // even a forced configuration can serve it.
-  const bool reachable = net_.reachable(spec.src, spec.dst);
-  if (reachable) {
-    handle.links = route_links(spec.src, spec.dst);
-    handle.commitment =
-        admission_.request(spec, handle.links, net_.sim().now());
-  } else {
-    handle.commitment.reason = "unreachable";
+  FlowHandle handle = try_open_flow(spec);
+  if (handle.commitment.admitted) return handle;
+  if (config_.enforce_admission) {
+    throw std::runtime_error("admission rejected " + describe(spec) + ": " +
+                             handle.commitment.reason);
   }
-
-  if (!handle.commitment.admitted) {
-    if (config_.enforce_admission) {
-      throw std::runtime_error("admission rejected " + describe(spec) + ": " +
-                               handle.commitment.reason);
-    }
-    if (!reachable) return handle;
-    // Forced configuration (paper-style static experiments): pick the
-    // cheapest adequate class exactly as admission would have.
-    if (spec.service == net::ServiceClass::kPredicted) {
-      const double per_hop = spec.predicted->target_delay /
-                             static_cast<double>(handle.links.size());
-      int chosen = 0;
-      for (int j = static_cast<int>(config_.class_targets.size()) - 1; j >= 0;
-           --j) {
-        if (config_.class_targets[static_cast<std::size_t>(j)] <= per_hop) {
-          chosen = j;
-          break;
-        }
-      }
-      handle.commitment.priority_per_hop.assign(handle.links.size(), chosen);
-      handle.commitment.advertised_bound =
-          static_cast<double>(handle.links.size()) *
-          config_.class_targets[static_cast<std::size_t>(chosen)];
-    }
+  // A partitioned destination has no path, and not even a forced
+  // configuration can serve it.
+  if (!net_.reachable(spec.src, spec.dst)) return handle;
+  // Forced configuration (paper-style static experiments): pick the
+  // cheapest adequate class exactly as admission would have.
+  if (spec.service == net::ServiceClass::kPredicted) {
+    const int chosen = std::max(
+        0, cheapest_class(config_.class_targets,
+                          spec.predicted->target_delay /
+                              static_cast<double>(handle.links.size())));
+    handle.commitment.priority_per_hop.assign(handle.links.size(), chosen);
+    handle.commitment.advertised_bound =
+        static_cast<double>(handle.links.size()) *
+        config_.class_targets[static_cast<std::size_t>(chosen)];
   }
-
   configure_flow(handle);
   return handle;
 }
@@ -256,23 +238,14 @@ IspnNetwork::FlowHandle IspnNetwork::open_flow(const FlowSpec& spec) {
 void IspnNetwork::close_flow(const FlowHandle& handle) {
   const FlowSpec& spec = handle.spec;
   if (spec.service == net::ServiceClass::kDatagram) return;
-  if (handle.commitment.admitted &&
-      !admission_.release(spec, handle.links)) {
+  if (handle.commitment.admitted && !admission_.release(spec)) {
     // The ledger shows no commitment: an earlier close or a reroute
     // already released this flow (and deregistered its schedulers).
     // Proceeding would hand the bandwidth back a second time.
     return;
   }
-  if (spec.service == net::ServiceClass::kGuaranteed) {
-    for (const LinkId& link : handle.links) {
-      schedulers_.at(link)->remove_guaranteed(spec.flow);
-      index_remove(link, spec.flow);
-    }
-  } else {
-    for (const LinkId& link : handle.links) {
-      schedulers_.at(link)->remove_predicted(spec.flow);
-      index_remove(link, spec.flow);
-    }
+  for (const LinkId& link : handle.links) {
+    deregister_hop(link, spec, /*expel=*/false);
   }
 }
 
@@ -282,91 +255,44 @@ IspnNetwork::RerouteOutcome IspnNetwork::reroute_flow(
   assert(spec.service != net::ServiceClass::kDatagram &&
          "datagram flows follow the routing tables; nothing to re-offer");
   assert(handle.commitment.admitted && "reroute is for admitted flows");
-  const sim::Time now = net_.sim().now();
-  const std::vector<LinkId> old_links = handle.links;
-  const std::vector<LinkId> new_links = route_links(spec.src, spec.dst);
+  std::vector<LinkId> new_links = route_links(spec.src, spec.dst);
   const bool reachable = net_.reachable(spec.src, spec.dst);
-
-  // Removes this flow from one link's scheduler.  Guaranteed packets still
-  // queued there are casualties of the path change — they would otherwise
-  // pin a WFQ registration whose clock rate we are about to hand back.
-  auto expel = [&](const LinkId& link) {
-    if (spec.service == net::ServiceClass::kGuaranteed) {
-      schedulers_.at(link)->expel_guaranteed(
-          spec.flow, now, [this, &spec](net::PacketPtr, sim::Time) {
-            ++net_.stats(spec.flow).failed_link_drops;
-          });
-    } else {
-      schedulers_.at(link)->remove_predicted(spec.flow);
-    }
-    index_remove(link, spec.flow);
-  };
 
   // Release first: the re-offer must compete against live state that no
   // longer counts this flow's own reservation.  Idempotent, so a racing
   // teardown cannot double-release.
-  admission_.release(spec, old_links);
+  admission_.release(spec);
+  ServiceCommitment fresh;
+  if (reachable) fresh = admission_.request(spec, new_links, net_.sim().now());
 
-  if (!reachable) {
-    for (const LinkId& link : old_links) expel(link);
-    handle.links.clear();
-    handle.commitment = ServiceCommitment{};
-    return RerouteOutcome::kOrphaned;
-  }
-
-  ServiceCommitment fresh = admission_.request(spec, new_links, now);
-  if (fresh.admitted) {
-    if (spec.service == net::ServiceClass::kGuaranteed) {
-      // Links on both the old and new path keep their registration and
-      // their queued packets — only the divergence changes hands.
-      for (const LinkId& link : old_links) {
-        if (std::find(new_links.begin(), new_links.end(), link) ==
+  // Leave every old link the flow will not hold.  Links on both the old
+  // and new path keep their registration and their queued packets; only
+  // the divergence changes hands.
+  for (const LinkId& link : handle.links) {
+    if (!fresh.admitted ||
+        std::find(new_links.begin(), new_links.end(), link) ==
             new_links.end()) {
-          expel(link);
-        }
-      }
-      for (const LinkId& link : new_links) {
-        if (std::find(old_links.begin(), old_links.end(), link) ==
-            old_links.end()) {
-          schedulers_.at(link)->add_guaranteed(spec.flow,
-                                               spec.guaranteed->clock_rate);
-          index_add(link, spec.flow);
-        }
-      }
-    } else {
-      for (const LinkId& link : old_links) {
-        if (std::find(new_links.begin(), new_links.end(), link) ==
-            new_links.end()) {
-          schedulers_.at(link)->remove_predicted(spec.flow);
-          index_remove(link, spec.flow);
-        }
-      }
-      assert(fresh.priority_per_hop.size() == new_links.size());
-      for (std::size_t i = 0; i < new_links.size(); ++i) {
-        schedulers_.at(new_links[i])
-            ->set_predicted_priority(spec.flow, fresh.priority_per_hop[i]);
-        index_add(new_links[i], spec.flow);
-      }
+      deregister_hop(link, spec, /*expel=*/true);
     }
-    handle.links = new_links;
-    handle.commitment = std::move(fresh);
-    return RerouteOutcome::kRerouted;
-  }
-
-  // Refused on the new path: this flow's reservation is gone everywhere.
-  for (const LinkId& link : old_links) expel(link);
-  if (degrade_to_datagram) {
-    spec.service = net::ServiceClass::kDatagram;
-    spec.guaranteed.reset();
-    spec.predicted.reset();
-    handle.links = new_links;
-    handle.commitment = ServiceCommitment{};
-    handle.commitment.admitted = true;  // datagram service is never refused
-    return RerouteOutcome::kDegraded;
   }
   handle.links.clear();
   handle.commitment = ServiceCommitment{};
-  return RerouteOutcome::kClosed;
+  if (!reachable) return RerouteOutcome::kOrphaned;
+  if (fresh.admitted) {
+    handle.links = std::move(new_links);
+    handle.commitment = std::move(fresh);
+    configure_flow(handle);
+    return RerouteOutcome::kRerouted;
+  }
+  if (!degrade_to_datagram) return RerouteOutcome::kClosed;
+  // Refused on the new path: carried on as datagram, which is never
+  // refused.
+  spec.service = net::ServiceClass::kDatagram;
+  spec.guaranteed.reset();
+  spec.predicted.reset();
+  handle.links = std::move(new_links);
+  handle.commitment.admitted = true;
+  return RerouteOutcome::kDegraded;
 }
 
 traffic::OnOffSource& IspnNetwork::attach_onoff_source(
@@ -385,12 +311,8 @@ traffic::OnOffSource& IspnNetwork::attach_onoff_source(
       spec.flow, spec.src, spec.dst,
       [&host](net::PacketPtr p) { host.inject(std::move(p)); },
       &net_.stats(spec.flow), police);
-  const std::uint8_t priority =
-      handle.commitment.priority_per_hop.empty()
-          ? 0
-          : static_cast<std::uint8_t>(handle.commitment.priority_per_hop[0]);
-  source->set_service(spec.service, priority);
-  if (net_.sharded()) source->set_pool(&net_.pool_for(spec.src));
+  source->set_service(spec.service, handle.commitment.first_hop_priority());
+  source->set_pool(&net_.pool_for(spec.src));
   auto& ref = *source;
   sources_.push_back(std::move(source));
   return ref;
@@ -405,23 +327,16 @@ std::pair<traffic::TcpSource&, traffic::TcpSink&> IspnNetwork::attach_tcp(
   // Each endpoint lives on its own host's clock: in a sharded run that is
   // the owning domain's simulator and packet pool, classically the global
   // ones.
-  sim::Simulator& src_sim =
-      net_.sharded() ? net_.sim_for(spec.src) : net_.sim();
-  sim::Simulator& dst_sim =
-      net_.sharded() ? net_.sim_for(spec.dst) : net_.sim();
-
   auto source = std::make_unique<traffic::TcpSource>(
-      src_sim, config, spec.flow, spec.src, spec.dst,
+      net_.sim_for(spec.src), config, spec.flow, spec.src, spec.dst,
       [&src_host](net::PacketPtr p) { src_host.inject(std::move(p)); },
       &net_.stats(spec.flow));
   auto sink = std::make_unique<traffic::TcpSink>(
-      dst_sim, config, spec.flow, spec.dst, spec.src,
+      net_.sim_for(spec.dst), config, spec.flow, spec.dst, spec.src,
       [&dst_host](net::PacketPtr p) { dst_host.inject(std::move(p)); });
   sink->set_stats(&net_.stats(spec.flow));
-  if (net_.sharded()) {
-    source->set_pool(&net_.pool_for(spec.src));
-    sink->set_pool(&net_.pool_for(spec.dst));
-  }
+  source->set_pool(&net_.pool_for(spec.src));
+  sink->set_pool(&net_.pool_for(spec.dst));
 
   // ACKs arrive back at the source host; data arrives at the destination
   // behind the stats recorder.
@@ -452,9 +367,9 @@ double IspnNetwork::link_utilization(LinkId link, sim::Time now) {
 
 double IspnNetwork::realtime_utilization(LinkId link, sim::Time now) const {
   if (now <= 0) return 0.0;
-  auto it = realtime_bits_.find(link);
-  if (it == realtime_bits_.end()) return 0.0;
-  return it->second / (link_rates_.at(link) * now);
+  auto it = links_.find(link);
+  if (it == links_.end()) return 0.0;
+  return it->second.realtime_bits / (it->second.base_rate * now);
 }
 
 }  // namespace ispn::core

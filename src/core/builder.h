@@ -216,10 +216,10 @@ class IspnNetwork {
 
   /// The unified scheduler on a directed inter-switch link.
   [[nodiscard]] sched::UnifiedScheduler& scheduler(LinkId link) {
-    return *schedulers_.at(link);
+    return *links_.at(link).scheduler;
   }
   [[nodiscard]] LinkMeasurement& measurement(LinkId link) {
-    return *measurements_.at(link);
+    return *links_.at(link).measurement;
   }
 
   /// Every registered QoS link, in registration order (both directions of
@@ -233,7 +233,7 @@ class IspnNetwork {
   /// baseline — restores multiply against it, so repeated episodes on one
   /// link cannot compound rounding drift.
   [[nodiscard]] sim::Rate link_base_rate(LinkId link) const {
-    return link_rates_.at(link);
+    return links_.at(link).base_rate;
   }
 
   /// Directed inter-switch links on the current route src -> dst.
@@ -258,22 +258,42 @@ class IspnNetwork {
   [[nodiscard]] double realtime_utilization(LinkId link, sim::Time now) const;
 
  private:
+  /// Everything the network keeps per registered QoS link.
+  struct Link {
+    sched::UnifiedScheduler* scheduler = nullptr;  ///< owned by the port
+    std::unique_ptr<LinkMeasurement> measurement;
+    sim::Rate base_rate = 0;    ///< as built; see link_base_rate()
+    sim::Bits realtime_bits = 0;  ///< guaranteed + predicted transmitted
+    /// Flows registered on this link's scheduler (the flows_crossing
+    /// index; mirrors register_hop/deregister_hop 1:1).
+    std::vector<net::FlowId> flows;
+  };
+
+  /// Passes a topology builder's result on after instrument_links().
+  template <class Topology>
+  Topology instrumented(Topology topo) {
+    instrument_links();
+    return topo;
+  }
+
   /// Configures the schedulers along an (accepted or forced) flow's path.
+  /// Links the flow already holds keep their registration: a guaranteed
+  /// flow keeps its WFQ queue, a predicted flow takes the new class.
   void configure_flow(const FlowHandle& handle);
 
-  /// Per-link active-flow index maintenance (mirrors every scheduler
-  /// registration / deregistration 1:1).
-  void index_add(const LinkId& link, net::FlowId flow);
-  void index_remove(const LinkId& link, net::FlowId flow);
+  /// One hop of a flow's configuration: the scheduler registration (the
+  /// guaranteed clock rate, or predicted class `priority`) plus the
+  /// flows_crossing index.
+  void register_hop(const LinkId& link, const FlowSpec& spec, int priority);
+  /// Undoes register_hop.  A graceful teardown needs a drained guaranteed
+  /// queue; with `expel` (a path change) packets still queued are dropped
+  /// into the flow's failed_link_drops.
+  void deregister_hop(const LinkId& link, const FlowSpec& spec, bool expel);
 
   Config config_;
   net::Network net_;
   AdmissionController admission_;
-  std::map<LinkId, sched::UnifiedScheduler*> schedulers_;
-  std::map<LinkId, std::unique_ptr<LinkMeasurement>> measurements_;
-  std::map<LinkId, sim::Bits> realtime_bits_;
-  std::map<LinkId, sim::Rate> link_rates_;  ///< actual per-link rates
-  std::map<LinkId, std::vector<net::FlowId>> link_flows_;  ///< active index
+  std::map<LinkId, Link> links_;
   std::vector<LinkId> link_order_;      ///< registration order
   std::size_t instrumented_upto_ = 0;   ///< links with tx hooks installed
   std::vector<std::unique_ptr<traffic::Source>> sources_;

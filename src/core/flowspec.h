@@ -66,6 +66,14 @@ struct ServiceCommitment {
   /// Index into the requested path of the link that refused the flow
   /// (-1 when admitted, or when the rejection is not tied to one hop).
   int rejected_hop = -1;
+
+  /// The priority a source stamps on its packets: the first hop's level,
+  /// or 0 when no level was assigned (guaranteed and datagram flows).
+  [[nodiscard]] std::uint8_t first_hop_priority() const {
+    return priority_per_hop.empty()
+               ? 0
+               : static_cast<std::uint8_t>(priority_per_hop.front());
+  }
 };
 
 /// Renders a one-line description ("G r=170kb/s", "P (85kb/s,50kb) D=5ms

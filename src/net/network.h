@@ -76,8 +76,10 @@ class Network {
   /// schedule on the clock of the host they sit on.
   [[nodiscard]] sim::Simulator& sim_for(NodeId id);
 
-  /// Domain index of node `id` (sharded mode only).
-  [[nodiscard]] int domain_of(NodeId id) const { return domain_of_.at(id); }
+  /// Domain index of node `id`; 0 when the network is not sharded.
+  [[nodiscard]] int domain_of(NodeId id) const {
+    return sharded_ ? domain_of_.at(id) : 0;
+  }
   [[nodiscard]] std::size_t num_domains() const { return domains_.size(); }
   [[nodiscard]] sim::Simulator& domain_sim(std::size_t d) {
     return *domains_.at(d).sim;

@@ -33,20 +33,6 @@ using NextHops = std::map<NodeId, NodeId>;
 /// Failed undirected links, as normalized (min,max) pairs.
 using DownLinks = std::set<std::pair<NodeId, NodeId>>;
 
-/// One link state transition at a simulated instant.  Links are
-/// undirected for routing purposes: a failure takes out both directions.
-struct LinkEvent {
-  sim::Time time = 0;
-  NodeId a = -1;
-  NodeId b = -1;
-  bool up = false;  ///< false = link fails at `time`, true = it recovers
-};
-
-/// A deterministic sequence of link events.  Built once (explicit specs
-/// or seeded draws) before the run starts, then injected through the
-/// event core, so replays are byte-identical across backends.
-using FailureSchedule = std::vector<LinkEvent>;
-
 /// Normalized undirected link key for down-link sets.
 [[nodiscard]] inline std::pair<NodeId, NodeId> undirected(NodeId a, NodeId b) {
   return a < b ? std::pair{a, b} : std::pair{b, a};

@@ -107,7 +107,7 @@ FlowSink* PacketTracer::wrap_sink(FlowSink* next) {
 }
 
 FlowSink* PacketTracer::wrap_sink(FlowSink* next, std::size_t domain) {
-  assert(sharded_ && "attach() a sharded network first");
+  if (!sharded_) return wrap_sink(next);
   assert(domain < domain_records_.size());
   wrappers_.push_back(std::make_unique<DeliverySink>(*this, next, domain));
   return wrappers_.back().get();

@@ -59,7 +59,8 @@ class PacketTracer {
   [[nodiscard]] FlowSink* wrap_sink(FlowSink* next = nullptr);
 
   /// Sharded variant: delivery records go to `domain`'s buffer (pass the
-  /// destination host's domain).
+  /// destination host's domain).  On an unsharded tracer the domain is
+  /// ignored and this is wrap_sink(next).
   [[nodiscard]] FlowSink* wrap_sink(FlowSink* next, std::size_t domain);
 
   /// Pre-sizes the per-domain buffers so sinks can be wrapped before

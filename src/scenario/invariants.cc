@@ -31,10 +31,7 @@ void InvariantMonitor::check_conservation(sim::Time now,
         << ledger.source_drops << " + injected " << ledger.injected;
     violate(now, "conservation", out.str());
   }
-  const std::uint64_t accounted =
-      ledger.delivered + ledger.net_drops + ledger.failed_link_drops +
-      ledger.node_failure_drops + ledger.fault_drops + ledger.queued +
-      ledger.in_transit + ledger.unclaimed;
+  const std::uint64_t accounted = ledger.accounted();
   if (ledger.injected != accounted) {
     std::ostringstream out;
     out << "injected " << ledger.injected << " != delivered "

@@ -54,6 +54,13 @@ class InvariantMonitor {
     std::uint64_t queued = 0;      ///< sitting in port queues right now
     std::uint64_t in_transit = 0;  ///< crossing shard mailboxes right now
     std::uint64_t unclaimed = 0;   ///< alive in the pool but unaccounted
+
+    /// Where the injected packets are: delivered, in a loss bucket, or
+    /// still on their way.  Conservation holds when this equals injected.
+    [[nodiscard]] std::uint64_t accounted() const {
+      return delivered + net_drops + failed_link_drops + node_failure_drops +
+             fault_drops + queued + in_transit + unclaimed;
+    }
   };
 
   /// One failed check.

@@ -21,6 +21,27 @@ namespace {
 /// streams above 2^32 keeps them disjoint from any small constant.
 constexpr std::uint64_t kWorkloadStream = 0xFAB;
 constexpr std::uint64_t kSourceStreamBase = 1ull << 32;
+
+/// Adds one flow's source and loss buckets to `into`: the monitor's Ledger
+/// and the ScenarioReport name them alike.
+template <class Ledger>
+void add_flow_ledger(Ledger& into, const net::FlowStats& st) {
+  into.generated += st.generated;
+  into.source_drops += st.source_drops;
+  into.injected += st.injected;
+  into.net_drops += st.net_drops;
+  into.failed_link_drops += st.failed_link_drops;
+  into.node_failure_drops += st.node_failure_drops;
+  into.fault_drops += st.fault_drops;
+}
+
+/// A guaranteed flow's token bucket: its clock rate, kBucketPackets deep.
+/// The edge polices the flow with it, so the Parekh–Gallager bound the
+/// flow is scored against applies.
+traffic::TokenBucketSpec guaranteed_bucket(const core::FlowSpec& fs,
+                                           sim::Bits packet_bits) {
+  return {fs.guaranteed->clock_rate, sim::paper::kBucketPackets * packet_bits};
+}
 }  // namespace
 
 void ScenarioRunner::Sink::on_packet(net::PacketPtr p, sim::Time now) {
@@ -116,7 +137,7 @@ void ScenarioRunner::prepare() {
     // interleave instead of bursting in lockstep.
     const double spread =
         spec_.avg_rate_pps * std::max(1, spec_.target_flows);
-    decisions_.reserve(static_cast<std::size_t>(spec_.target_flows));
+    report_.decisions.reserve(static_cast<std::size_t>(spec_.target_flows));
     for (int f = 0; f < spec_.target_flows; ++f) {
       const core::FlowSpec fs = draw_spec();
       open_flow(fs, static_cast<double>(f) / spread);
@@ -133,8 +154,6 @@ void ScenarioRunner::schedule_next_arrival() {
 }
 
 void ScenarioRunner::schedule_failures() {
-  net::FailureSchedule schedule;
-
   // Explicit failures first, validated against the as-built graph so a
   // typoed --fail-link fails loudly instead of silently never firing.
   for (const LinkFailureSpec& f : spec_.link_failures) {
@@ -146,13 +165,12 @@ void ScenarioRunner::schedule_failures() {
                                   std::to_string(f.src) + "<->" +
                                   std::to_string(f.dst) + " in this fabric");
     }
-    schedule.push_back({f.down_at, f.src, f.dst, false});
-    if (f.up_at >= 0) schedule.push_back({f.up_at, f.src, f.dst, true});
-  }
-
-  for (const net::LinkEvent& ev : schedule) {
-    net().sim().at(ctl(ev.time),
-                   [this, ev] { on_link_event(ev.a, ev.b, ev.up); });
+    const net::NodeId a = f.src;
+    const net::NodeId b = f.dst;
+    net().sim().at(ctl(f.down_at), [this, a, b] { on_link_event(a, b, false); });
+    if (f.up_at >= 0) {
+      net().sim().at(ctl(f.up_at), [this, a, b] { on_link_event(a, b, true); });
+    }
   }
 
   // Seeded generator: the fault plane (src/fault) draws the complete
@@ -177,34 +195,28 @@ void ScenarioRunner::schedule_failures() {
   const fault::FaultSchedule faults = fault::draw_schedule(
       fspec, ulinks, switches, spec_.seed, spec_.run_seconds);
   for (const fault::FaultEvent& ev : faults) {
-    switch (ev.kind) {
-      case fault::FaultKind::kLinkDown:
-      case fault::FaultKind::kLinkUp:
-        net().sim().at(ctl(ev.time), [this, ev] {
+    net().sim().at(ctl(ev.time), [this, ev] {
+      switch (ev.kind) {
+        case fault::FaultKind::kLinkDown:
+        case fault::FaultKind::kLinkUp:
           on_link_event(ev.a, ev.b, ev.kind == fault::FaultKind::kLinkUp);
-        });
-        break;
-      case fault::FaultKind::kNodeDown:
-      case fault::FaultKind::kNodeUp:
-        net().sim().at(ctl(ev.time), [this, ev] {
+          break;
+        case fault::FaultKind::kNodeDown:
+        case fault::FaultKind::kNodeUp:
           on_node_event(ev.a, ev.kind == fault::FaultKind::kNodeUp);
-        });
-        break;
-      case fault::FaultKind::kBrownoutStart:
-      case fault::FaultKind::kBrownoutEnd:
-        net().sim().at(ctl(ev.time), [this, ev] {
+          break;
+        case fault::FaultKind::kBrownoutStart:
+        case fault::FaultKind::kBrownoutEnd:
           on_brownout(ev.a, ev.b,
                       ev.kind == fault::FaultKind::kBrownoutStart, ev.value);
-        });
-        break;
-      case fault::FaultKind::kLossStart:
-      case fault::FaultKind::kLossEnd:
-        net().sim().at(ctl(ev.time), [this, ev] {
+          break;
+        case fault::FaultKind::kLossStart:
+        case fault::FaultKind::kLossEnd:
           on_loss(ev.a, ev.b, ev.kind == fault::FaultKind::kLossStart,
                   ev.value);
-        });
-        break;
-    }
+          break;
+      }
+    });
   }
 }
 
@@ -214,12 +226,12 @@ void ScenarioRunner::on_link_event(net::NodeId a, net::NodeId b, bool up) {
   if (net().link_up(a, b) == up) return;
   net().set_link_up(a, b, up);
   if (up) {
-    ++links_repaired_;
+    ++report_.links_repaired;
     // A recovered link can shorten the path of a flow that never crossed
     // it, so recovery must sweep every active flow.
     revalidate_flows(active_);
   } else {
-    ++links_failed_;
+    ++report_.links_failed;
     // A downed link only disturbs flows registered across it — removing
     // an edge cannot shorten anyone else's shortest path — so the
     // per-link index bounds this sweep by the crossing flows.
@@ -230,14 +242,14 @@ void ScenarioRunner::on_link_event(net::NodeId a, net::NodeId b, bool up) {
 void ScenarioRunner::on_node_event(net::NodeId node, bool up) {
   if (net().node_up(node) == up) return;  // overlapping events collapse
   if (up) {
-    ++nodes_recovered_;
+    ++report_.nodes_recovered;
     net().set_node_up(node, true);
     // Recovery can shorten the path of flows that never touched this
     // switch, so it sweeps everything (same rule as a link repair).
     revalidate_flows(active_);
     return;
   }
-  ++nodes_crashed_;
+  ++report_.nodes_crashed;
   // Gather the union of flows crossing ANY incident link before the
   // flush — the per-link index is exact for downs, and a crash is one
   // atomic down of the whole incident star.
@@ -259,7 +271,7 @@ void ScenarioRunner::on_node_event(net::NodeId node, bool up) {
 void ScenarioRunner::on_brownout(net::NodeId a, net::NodeId b, bool start,
                                  double fraction) {
   const sim::Time now = net().sim().now();
-  if (start) ++brownouts_;
+  if (start) ++report_.brownouts;
   const core::LinkId fwd{a, b};
   const core::LinkId rev{b, a};
   const sim::Rate target =
@@ -314,7 +326,7 @@ void ScenarioRunner::shed_overcommit(core::LinkId link) {
 
 void ScenarioRunner::on_loss(net::NodeId a, net::NodeId b, bool start,
                              double prob) {
-  if (start) ++loss_episodes_;
+  if (start) ++report_.loss_episodes;
   for (const core::LinkId& link : {core::LinkId{a, b}, core::LinkId{b, a}}) {
     net::Port* port = net().port(link.first, link.second);
     if (port == nullptr) continue;
@@ -353,7 +365,7 @@ void ScenarioRunner::try_restore(net::FlowId flow) {
   }
   const core::FlowSpec want = *x->saved_spec;
   ++x->restore_attempts;
-  ++restore_attempts_;
+  ++report_.restore_attempts;
   // Offer the original service on the CURRENT shortest path.  The flow
   // holds no commitment while degraded, so this is a fresh §9 admission
   // against the live measurements (an unreachable destination is refused
@@ -364,15 +376,10 @@ void ScenarioRunner::try_restore(net::FlowId flow) {
     rec.degraded = false;
     x->restore_attempts = 0;
     x->restore_backoff = 0;
-    ++flows_restored_;
+    ++report_.flows_restored;
     apply_commitment(rec, /*new_path=*/true);
     bump_epoch(rec);
-    AdmissionDecision d;
-    d.time = net().sim().now();
-    d.flow = flow;
-    d.service = want.service;
-    d.kind = AdmissionDecision::Kind::kRestored;
-    record(d);
+    decide(AdmissionDecision::Kind::kRestored, flow, want.service);
     return;
   }
   schedule_restore(flow);  // refused (or still unreachable): back off more
@@ -392,14 +399,7 @@ std::size_t ScenarioRunner::audit_now() {
   if (!monitor_) return 0;
   InvariantMonitor::Ledger led;
   for (const FlowRec& rec : flows_) {
-    const net::FlowStats& st = net().stats(rec.handle.spec.flow);
-    led.generated += st.generated;
-    led.source_drops += st.source_drops;
-    led.injected += st.injected;
-    led.net_drops += st.net_drops;
-    led.failed_link_drops += st.failed_link_drops;
-    led.node_failure_drops += st.node_failure_drops;
-    led.fault_drops += st.fault_drops;
+    add_flow_ledger(led, net().stats(rec.handle.spec.flow));
   }
   led.delivered = delivered();
   led.queued = queued_now();
@@ -435,21 +435,16 @@ void ScenarioRunner::revalidate_flows(
 }
 
 void ScenarioRunner::reoffer_flow(net::FlowId flow) {
-  const sim::Time now = net().sim().now();
   FlowRec& rec = flows_[static_cast<std::size_t>(flow)];
   // reroute_flow rewrites the spec on degrade; record the decision under
   // the service the flow HELD when the fault hit, and save the original
   // spec so a later restore can offer what the client asked for.
-  const net::ServiceClass original = rec.handle.spec.service;
-  const core::FlowSpec original_spec = rec.handle.spec;
+  const core::FlowSpec original = rec.handle.spec;
   const std::vector<core::LinkId> old_links = rec.handle.links;
   const auto outcome = ispn_.reroute_flow(
       rec.handle, spec_.reroute_policy == ReroutePolicy::kDegrade);
 
-  AdmissionDecision d;
-  d.time = now;
-  d.flow = flow;
-  d.service = original;
+  AdmissionDecision::Kind kind{};
   switch (outcome) {
     case core::IspnNetwork::RerouteOutcome::kRerouted: {
       if (rec.handle.links == old_links) {
@@ -460,24 +455,24 @@ void ScenarioRunner::reoffer_flow(net::FlowId flow) {
         apply_commitment(rec, /*new_path=*/false);
         return;
       }
-      ++flows_rerouted_;
+      ++report_.flows_rerouted;
       ++rec.reroutes;
       // The new path may carry a different per-hop class assignment.
       apply_commitment(rec, /*new_path=*/true);
       bump_epoch(rec);
-      d.kind = AdmissionDecision::Kind::kRerouted;
+      kind = AdmissionDecision::Kind::kRerouted;
       break;
     }
     case core::IspnNetwork::RerouteOutcome::kDegraded: {
-      ++flows_degraded_;
+      ++report_.flows_degraded;
       rec.degraded = true;
       rec.bound = 0;
       rec.source->set_service(net::ServiceClass::kDatagram, 0);
       bump_epoch(rec);
-      d.kind = AdmissionDecision::Kind::kDegraded;
+      kind = AdmissionDecision::Kind::kDegraded;
       FlowExtra& x = rec.more();
       if (!x.saved_spec) {
-        x.saved_spec = std::make_unique<core::FlowSpec>(original_spec);
+        x.saved_spec = std::make_unique<core::FlowSpec>(original);
       }
       x.restore_attempts = 0;
       x.restore_backoff = 0;
@@ -485,22 +480,17 @@ void ScenarioRunner::reoffer_flow(net::FlowId flow) {
       break;
     }
     case core::IspnNetwork::RerouteOutcome::kClosed:
+      retire(flow);
+      ++report_.flows_preempted;
+      kind = AdmissionDecision::Kind::kPreempted;
+      break;
     case core::IspnNetwork::RerouteOutcome::kOrphaned:
-      rec.source->stop();
-      rec.active = false;
-      rec.closed = now;
-      --open_count_;
-      active_.erase(std::find(active_.begin(), active_.end(), flow));
-      if (outcome == core::IspnNetwork::RerouteOutcome::kClosed) {
-        ++flows_preempted_;
-        d.kind = AdmissionDecision::Kind::kPreempted;
-      } else {
-        ++flows_orphaned_;
-        d.kind = AdmissionDecision::Kind::kOrphaned;
-      }
+      retire(flow);
+      ++report_.flows_orphaned;
+      kind = AdmissionDecision::Kind::kOrphaned;
       break;
   }
-  record(d);
+  decide(kind, flow, original.service);
 }
 
 void ScenarioRunner::bump_epoch(FlowRec& rec) {
@@ -553,31 +543,33 @@ core::FlowSpec ScenarioRunner::draw_spec() {
   return fs;
 }
 
-void ScenarioRunner::record(const AdmissionDecision& d) {
-  decisions_.push_back(d);
+void ScenarioRunner::decide(AdmissionDecision::Kind kind, net::FlowId flow,
+                            net::ServiceClass service,
+                            const core::ServiceCommitment* offer) {
+  AdmissionDecision& d = report_.decisions.emplace_back();
+  d.time = net().sim().now();
+  d.flow = flow;
+  d.service = service;
+  d.kind = kind;
+  if (offer != nullptr) {
+    d.rejected_hop = offer->rejected_hop;
+    d.reason = offer->reason;
+  }
 }
 
 void ScenarioRunner::open_flow(const core::FlowSpec& fs,
                                sim::Duration start_offset) {
   assert(static_cast<std::size_t>(fs.flow) == flows_.size());
-  const sim::Time now = net().sim().now();
   FlowRec& rec = flows_.emplace_back();
-  rec.opened = now;
-
-  auto outcome = [&](const core::IspnNetwork::FlowHandle& h) {
-    AdmissionDecision d;
-    d.time = now;
-    d.flow = fs.flow;
-    d.service = fs.service;
-    d.kind = h.commitment.admitted ? AdmissionDecision::Kind::kAdmitted
-                                   : AdmissionDecision::Kind::kRejected;
-    d.rejected_hop = h.commitment.rejected_hop;
-    d.reason = h.commitment.reason;
-    return d;
+  rec.opened = net().sim().now();
+  const auto request = [&] {
+    rec.handle = ispn_.try_open_flow(fs);
+    decide(rec.handle.commitment.admitted ? AdmissionDecision::Kind::kAdmitted
+                                          : AdmissionDecision::Kind::kRejected,
+           fs.flow, fs.service, &rec.handle.commitment);
   };
 
-  rec.handle = ispn_.try_open_flow(fs);
-  record(outcome(rec.handle));
+  request();
   // Guaranteed rejections may make room by evicting predicted flows on
   // the refusing hop, one victim per retry.  Each eviction releases the
   // victim's committed rate immediately, so under parameter-based
@@ -594,15 +586,14 @@ void ScenarioRunner::open_flow(const core::FlowSpec& fs,
         !preempt_on(rec.handle.links[static_cast<std::size_t>(hop)])) {
       break;
     }
-    rec.handle = ispn_.try_open_flow(fs);
-    record(outcome(rec.handle));
+    request();
   }
 
   if (!rec.handle.commitment.admitted) {
-    ++flows_rejected_;
+    ++report_.flows_rejected;
     return;
   }
-  ++flows_admitted_;
+  ++report_.flows_admitted;
   ++open_count_;
   rec.active = true;
   active_.push_back(fs.flow);
@@ -612,14 +603,10 @@ void ScenarioRunner::open_flow(const core::FlowSpec& fs,
   // before the source attaches so the source can stamp the sink slot
   // onto every packet (the label fast path); registration touches no
   // simulator state, so the event/RNG streams are unchanged by the order.
-  const std::size_t dst_domain =
-      net().sharded() ? static_cast<std::size_t>(net().domain_of(fs.dst)) : 0;
+  const auto dst_domain = static_cast<std::size_t>(net().domain_of(fs.dst));
   rec.sink.emplace(&rec, &aggs_[dst_domain]);
   net::FlowSink* sink = &*rec.sink;
-  if (tracer_ != nullptr) {
-    sink = net().sharded() ? tracer_->wrap_sink(sink, dst_domain)
-                           : tracer_->wrap_sink(sink);
-  }
+  if (tracer_ != nullptr) sink = tracer_->wrap_sink(sink, dst_domain);
   const std::uint32_t sink_slot =
       net().host(fs.dst).register_sink(fs.flow, sink);
   attach_source(rec, start_offset, sink_slot);
@@ -628,24 +615,18 @@ void ScenarioRunner::open_flow(const core::FlowSpec& fs,
 
 bool ScenarioRunner::preempt_on(core::LinkId link) {
   for (auto it = active_.rbegin(); it != active_.rend(); ++it) {
-    FlowRec& cand = flows_[static_cast<std::size_t>(*it)];
-    if (cand.handle.spec.service != net::ServiceClass::kPredicted) continue;
-    const auto& links = cand.handle.links;
-    if (std::find(links.begin(), links.end(), link) == links.end()) continue;
-
-    cand.source->stop();
-    ispn_.close_flow(cand.handle);
-    cand.active = false;
-    cand.closed = net().sim().now();
-    --open_count_;
-    ++flows_preempted_;
-    AdmissionDecision d;
-    d.time = net().sim().now();
-    d.flow = cand.handle.spec.flow;
-    d.service = cand.handle.spec.service;
-    d.kind = AdmissionDecision::Kind::kPreempted;
-    record(d);
-    active_.erase(std::next(it).base());
+    const net::FlowId victim = *it;
+    const core::IspnNetwork::FlowHandle& cand =
+        flows_[static_cast<std::size_t>(victim)].handle;
+    if (cand.spec.service != net::ServiceClass::kPredicted) continue;
+    if (std::find(cand.links.begin(), cand.links.end(), link) ==
+        cand.links.end()) {
+      continue;
+    }
+    retire(victim);
+    ++report_.flows_preempted;
+    decide(AdmissionDecision::Kind::kPreempted, victim,
+           net::ServiceClass::kPredicted);
     return true;
   }
   return false;
@@ -672,9 +653,7 @@ void ScenarioRunner::attach_source(FlowRec& rec, sim::Duration start_offset,
   // filter (paper §8), datagram flows are unpoliced.
   std::optional<traffic::TokenBucketSpec> police;
   if (fs.service == net::ServiceClass::kGuaranteed) {
-    police = traffic::TokenBucketSpec{
-        fs.guaranteed->clock_rate,
-        sim::paper::kBucketPackets * spec_.packet_bits};
+    police = guaranteed_bucket(fs, spec_.packet_bits);
   } else if (fs.service == net::ServiceClass::kPredicted) {
     police = fs.predicted->bucket;
   }
@@ -709,15 +688,11 @@ void ScenarioRunner::attach_source(FlowRec& rec, sim::Duration start_offset,
     rec.source = std::move(tcp);
 
     // ACK return path at the source host: ledger count, then transport.
-    const std::size_t src_domain =
-        net().sharded() ? static_cast<std::size_t>(net().domain_of(fs.src))
-                        : 0;
+    const auto src_domain =
+        static_cast<std::size_t>(net().domain_of(fs.src));
     x.ack_sink.emplace(&aggs_[src_domain], x.tcp);
     net::FlowSink* ack = &*x.ack_sink;
-    if (tracer_ != nullptr) {
-      ack = net().sharded() ? tracer_->wrap_sink(ack, src_domain)
-                            : tracer_->wrap_sink(ack);
-    }
+    if (tracer_ != nullptr) ack = tracer_->wrap_sink(ack, src_domain);
     x.ack_slot = host.register_sink(fs.flow, ack);
 
     // Receiver on the destination's clock; its ACKs carry the ack sink's
@@ -732,7 +707,7 @@ void ScenarioRunner::attach_source(FlowRec& rec, sim::Duration start_offset,
     x.tcp_sink = std::make_unique<traffic::TcpSink>(
         dst_clock, tcfg, fs.flow, fs.dst, fs.src, ack_emit);
     x.tcp_sink->set_stats(stats);
-    if (net().sharded()) x.tcp_sink->set_pool(&net().pool_for(fs.dst));
+    x.tcp_sink->set_pool(&net().pool_for(fs.dst));
     rec.sink->set_next(x.tcp_sink.get());
   } else {
     switch (spec_.source) {
@@ -765,7 +740,7 @@ void ScenarioRunner::attach_source(FlowRec& rec, sim::Duration start_offset,
   }
 
   apply_commitment(rec, /*new_path=*/true);
-  if (net().sharded()) rec.source->set_pool(&net().pool_for(fs.src));
+  rec.source->set_pool(&net().pool_for(fs.src));
   // Control time is a window barrier, so `now + offset` is never in a
   // window a domain has already executed.
   rec.source->start(net().sim().now() + start_offset);
@@ -777,16 +752,11 @@ void ScenarioRunner::apply_commitment(FlowRec& rec, bool new_path) {
   if (fs.service != net::ServiceClass::kGuaranteed) {
     rec.bound = c.advertised_bound.value_or(rec.bound);
   } else if (new_path) {
-    const traffic::TokenBucketSpec bucket{
-        fs.guaranteed->clock_rate,
-        sim::paper::kBucketPackets * spec_.packet_bits};
-    rec.bound = ispn_.guaranteed_bound(rec.handle, bucket, spec_.packet_bits);
+    rec.bound = ispn_.guaranteed_bound(
+        rec.handle, guaranteed_bucket(fs, spec_.packet_bits),
+        spec_.packet_bits);
   }
-  const std::uint8_t priority =
-      c.priority_per_hop.empty()
-          ? 0
-          : static_cast<std::uint8_t>(c.priority_per_hop[0]);
-  rec.source->set_service(fs.service, priority);
+  rec.source->set_service(fs.service, c.first_hop_priority());
 }
 
 void ScenarioRunner::depart_later(net::FlowId flow) {
@@ -814,9 +784,10 @@ void ScenarioRunner::try_close(net::FlowId flow) {
     // would race the last packet's in-flight window (dequeued at one hop,
     // not yet enqueued at the next), and closing inside that window would
     // demote the packet to datagram service downstream.
-    const net::FlowStats& st = net().stats(flow);
-    if (st.injected > rec.delivered + st.net_drops + st.failed_link_drops +
-                          st.node_failure_drops + st.fault_drops) {
+    InvariantMonitor::Ledger led;
+    add_flow_ledger(led, net().stats(flow));
+    led.delivered = rec.delivered;
+    if (led.injected > led.accounted()) {
       // Still draining: WFQ guarantees the clock rate, so this
       // terminates; poll again one grace period later.
       net().sim().at(ctl(net().sim().now() + spec_.drain_grace),
@@ -824,6 +795,12 @@ void ScenarioRunner::try_close(net::FlowId flow) {
       return;
     }
   }
+  retire(flow);
+}
+
+void ScenarioRunner::retire(net::FlowId flow) {
+  FlowRec& rec = flows_[static_cast<std::size_t>(flow)];
+  rec.source->stop();
   ispn_.close_flow(rec.handle);
   rec.active = false;
   rec.closed = net().sim().now();
@@ -849,15 +826,11 @@ std::uint64_t ScenarioRunner::queued_now() {
 
 void ScenarioRunner::advance(sim::Time horizon) {
   assert(prepared_ && "advance() before prepare()");
-  if (engine_) {
-    engine_->run_until(horizon);
-  } else {
-    net().sim().run_until(horizon);
-  }
+  on_clock([horizon](auto& clock) { clock.run_until(horizon); });
 }
 
 std::uint64_t ScenarioRunner::events_processed() {
-  return engine_ ? engine_->processed() : net().sim().processed();
+  return on_clock([](auto& clock) { return clock.processed(); });
 }
 
 std::array<ClassStats, 3> ScenarioRunner::merged_classes() const {
@@ -895,11 +868,7 @@ std::array<ClassStats, 3> ScenarioRunner::merged_classes() const {
 
 ScenarioReport ScenarioRunner::run() {
   prepare();
-  if (engine_) {
-    engine_->run();
-  } else {
-    net().sim().run();
-  }
+  on_clock([](auto& clock) { clock.run(); });
   return finish();
 }
 
@@ -907,19 +876,14 @@ ScenarioReport ScenarioRunner::finish() {
   assert(prepared_ && "finish() before prepare()");
   assert(!finished_ && "finish() called twice");
   finished_ = true;
-  const bool idle = engine_ ? engine_->idle() : net().sim().idle();
-  if (!idle) {
+  if (!on_clock([](auto& clock) { return clock.idle(); })) {
     // Manual driving stopped mid-run (always at a barrier when sharded):
     // end the workload and drain.
     stop_all();
-    if (engine_) {
-      engine_->run();
-    } else {
-      net().sim().run();
-    }
+    on_clock([](auto& clock) { clock.run(); });
   }
 
-  ScenarioReport report;
+  ScenarioReport& report = report_;
   report.spec_summary = spec_.describe();
   report.end_time = net().sim().now();
   report.events = events_processed();
@@ -937,14 +901,7 @@ ScenarioReport ScenarioRunner::finish() {
 
   report.flows.reserve(flows_.size());
   for (const FlowRec& rec : flows_) {
-    const net::FlowStats& st = net().stats(rec.handle.spec.flow);
-    report.generated += st.generated;
-    report.source_drops += st.source_drops;
-    report.injected += st.injected;
-    report.net_drops += st.net_drops;
-    report.failed_link_drops += st.failed_link_drops;
-    report.node_failure_drops += st.node_failure_drops;
-    report.fault_drops += st.fault_drops;
+    add_flow_ledger(report, net().stats(rec.handle.spec.flow));
 
     FlowOutcome out;
     out.flow = rec.handle.spec.flow;
@@ -976,25 +933,13 @@ ScenarioReport ScenarioRunner::finish() {
   report.delivered = delivered();
   report.queued_end = queued_now();
 
-  std::set<net::NodeId> hosts;
-  for (const auto& [a, b] : fabric_.od_long) {
-    hosts.insert(a);
-    hosts.insert(b);
-  }
-  for (const auto& [a, b] : fabric_.od_short) {
-    hosts.insert(a);
-    hosts.insert(b);
-  }
-  for (const net::NodeId h : hosts) {
-    report.unclaimed += net().host(h).unclaimed();
-  }
-
-  // Flow-locality cache totals across every node in the fabric (the
-  // adjacency holds every connected node; hosts carry sink caches,
-  // switches route caches).
+  // Unclaimed packets and flow-locality cache totals across every node in
+  // the fabric (the adjacency holds every connected node; hosts carry sink
+  // caches, switches route caches).
   for (const auto& [id, neighbors] : net().adjacency()) {
     (void)neighbors;
     if (net().is_host(id)) {
+      report.unclaimed += net().host(id).unclaimed();
       report.sink_cache_hits += net().host(id).sink_cache_hits();
       report.sink_cache_misses += net().host(id).sink_cache_misses();
       report.sink_label_hits += net().host(id).sink_label_hits();
@@ -1005,25 +950,10 @@ ScenarioReport ScenarioRunner::finish() {
   }
 
   report.flows_offered = flows_.size();
-  report.flows_admitted = flows_admitted_;
-  report.flows_rejected = flows_rejected_;
-  report.flows_preempted = flows_preempted_;
-  report.links_failed = links_failed_;
-  report.links_repaired = links_repaired_;
-  report.flows_rerouted = flows_rerouted_;
-  report.flows_degraded = flows_degraded_;
-  report.flows_orphaned = flows_orphaned_;
-  report.nodes_crashed = nodes_crashed_;
-  report.nodes_recovered = nodes_recovered_;
-  report.brownouts = brownouts_;
-  report.loss_episodes = loss_episodes_;
-  report.flows_restored = flows_restored_;
-  report.restore_attempts = restore_attempts_;
   if (monitor_) {
     report.invariant_audits = monitor_->audits();
     report.invariant_violations = monitor_->violations().size();
   }
-  report.decisions = std::move(decisions_);
   report.classes = merged_classes();
 
   for (const core::LinkId& link : ispn_.links()) {
@@ -1038,7 +968,7 @@ ScenarioReport ScenarioRunner::finish() {
         ispn_.realtime_utilization(link, report.end_time);
     report.links.push_back(lr);
   }
-  return report;
+  return std::move(report_);
 }
 
 }  // namespace ispn::scenario

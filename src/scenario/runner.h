@@ -101,7 +101,7 @@ class ScenarioRunner {
   /// Admission decisions so far (grows during the run; finish() moves
   /// the log into the report, leaving this empty).
   [[nodiscard]] const std::vector<AdmissionDecision>& decisions() const {
-    return decisions_;
+    return report_.decisions;
   }
 
   /// The invariant monitor, or nullptr when invariant_cadence is 0.
@@ -289,13 +289,27 @@ class ScenarioRunner {
   void try_restore(net::FlowId flow);
   /// Self-rescheduling invariant audit (invariant_cadence > 0).
   void schedule_audit();
-  void record(const AdmissionDecision& d);
-  /// Advances a flow's path epoch after a reroute/degrade (satellite of
-  /// the sharded-core PR: per-path-epoch delay segmentation).
+  /// Logs one admission decision about `flow` at the current time; a
+  /// request's `offer` supplies the refusing hop and reason.
+  void decide(AdmissionDecision::Kind kind, net::FlowId flow,
+              net::ServiceClass service,
+              const core::ServiceCommitment* offer = nullptr);
+  /// Advances a flow's path epoch after a reroute/degrade: per-path-epoch
+  /// delay segmentation.
   void bump_epoch(FlowRec& rec);
   void depart_later(net::FlowId flow);
   void try_close(net::FlowId flow);
+  /// Ends an active flow: stops its source, releases whatever it still
+  /// holds in the network (nothing, after a closing reroute) and takes it
+  /// off the active list.
+  void retire(net::FlowId flow);
   void stop_all();
+  /// Calls `f` with what drives this run: the sharded engine, or the
+  /// classic single clock.  The one place the runner picks between them.
+  template <class F>
+  decltype(auto) on_clock(F&& f) {
+    return engine_ ? f(*engine_) : f(net().sim());
+  }
   [[nodiscard]] std::uint64_t queued_now();
   /// Quantizes a control-event time onto the window grid (identity on the
   /// classic path): the smallest multiple of link_latency at or after t.
@@ -318,24 +332,12 @@ class ScenarioRunner {
   int open_count_ = 0;
   util::ChunkedStore<FlowRec> flows_;  ///< indexed by FlowId; stable refs
   std::vector<net::FlowId> active_;    ///< open order (preemption scans back)
-  std::vector<AdmissionDecision> decisions_;
+  /// The report under construction: the outcome counters and the decision
+  /// log are kept here as the run goes; finish() adds the rest.
+  ScenarioReport report_;
   /// One per domain (one total on the classic path); sized once in
   /// prepare() — deque, so Sink pointers into it stay stable.
   std::deque<DomainAgg> aggs_;
-  std::uint64_t flows_admitted_ = 0;
-  std::uint64_t flows_rejected_ = 0;
-  std::uint64_t flows_preempted_ = 0;
-  std::uint64_t links_failed_ = 0;
-  std::uint64_t links_repaired_ = 0;
-  std::uint64_t flows_rerouted_ = 0;
-  std::uint64_t flows_degraded_ = 0;
-  std::uint64_t flows_orphaned_ = 0;
-  std::uint64_t nodes_crashed_ = 0;
-  std::uint64_t nodes_recovered_ = 0;
-  std::uint64_t brownouts_ = 0;
-  std::uint64_t loss_episodes_ = 0;
-  std::uint64_t flows_restored_ = 0;
-  std::uint64_t restore_attempts_ = 0;
   std::unique_ptr<InvariantMonitor> monitor_;
 };
 

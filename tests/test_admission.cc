@@ -142,7 +142,7 @@ TEST(Admission, ReleaseRestoresCapacity) {
   const auto spec = guaranteed(8e5);
   EXPECT_TRUE(ac.request(spec, {kLink}, 0.0).admitted);
   EXPECT_FALSE(ac.request(guaranteed(8e5, 2), {kLink}, 0.0).admitted);
-  ac.release(spec, {kLink});
+  ac.release(spec);
   EXPECT_DOUBLE_EQ(ac.guaranteed_rate(kLink), 0.0);
   EXPECT_TRUE(ac.request(guaranteed(8e5, 2), {kLink}, 0.0).admitted);
 }

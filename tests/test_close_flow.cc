@@ -124,9 +124,9 @@ TEST(CloseFlow, AdmissionReleaseIsIdempotent) {
   const auto c = ac.request(spec, {link}, 0.0);
   ASSERT_TRUE(c.admitted);
   EXPECT_DOUBLE_EQ(ac.guaranteed_rate(link), 3e5);
-  EXPECT_TRUE(ac.release(spec, {link}));
+  EXPECT_TRUE(ac.release(spec));
   EXPECT_DOUBLE_EQ(ac.guaranteed_rate(link), 0.0);
-  EXPECT_FALSE(ac.release(spec, {link}));  // nothing left to hand back
+  EXPECT_FALSE(ac.release(spec));  // nothing left to hand back
   EXPECT_DOUBLE_EQ(ac.guaranteed_rate(link), 0.0);
 }
 

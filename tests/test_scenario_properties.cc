@@ -109,7 +109,7 @@ TEST(AdmissionProperty, GuaranteedRatesNeverExceedRealtimeShare) {
       } else {
         // Random release.
         const std::size_t victim = rng.below(open.size());
-        ac.release(open[victim].spec, open[victim].path);
+        ac.release(open[victim].spec);
         open[victim] = open.back();
         open.pop_back();
       }
